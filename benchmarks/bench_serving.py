@@ -16,23 +16,18 @@ batch size > 1.
 
 import http.client
 import json
-import math
 import threading
 import time
 
 from benchmarks.conftest import emit
 from repro.core.deployment import CrashPronenessScorer
 from repro.core.reporting import render_table
+from repro.obs.histogram import nearest_rank
 from repro.roads import QDTMRSyntheticGenerator, small_config
 from repro.serving import ScoringService
 
 CONCURRENCY_LEVELS = (1, 2, 4, 8, 16)
 REQUESTS_PER_LEVEL = 400
-
-
-def _percentile(ordered, q):
-    rank = math.ceil(q / 100.0 * len(ordered)) - 1
-    return ordered[max(0, min(rank, len(ordered) - 1))]
 
 
 def _run_level(service, rows, concurrency, n_requests):
@@ -95,9 +90,9 @@ def _run_level(service, rows, concurrency, n_requests):
         "requests": len(latencies),
         "wall": wall,
         "throughput": len(latencies) / wall,
-        "p50": _percentile(ordered, 50),
-        "p95": _percentile(ordered, 95),
-        "p99": _percentile(ordered, 99),
+        "p50": nearest_rank(ordered, 50),
+        "p95": nearest_rank(ordered, 95),
+        "p99": nearest_rank(ordered, 99),
         "max_batch": max(level_batches) if level_batches else 0,
         "mean_batch": (
             sum(level_batches) / len(level_batches) if level_batches else 0.0

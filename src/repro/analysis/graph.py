@@ -154,7 +154,6 @@ class ProjectGraph:
         self.function_by_node: dict[ast.AST, FunctionInfo] = {}
         #: function qualname → local variable name → class qualname.
         self.local_types: dict[str, dict[str, str]] = {}
-        self._module_by_path: dict[str, str] = {}
         self._methods_by_name: dict[str, list[str]] = {}
 
     # -- symbol collection ---------------------------------------------------
@@ -167,11 +166,7 @@ class ProjectGraph:
                 suffix += 1
             module = f"{module}~{suffix}"
         self.modules[module] = path
-        self._module_by_path[path] = module
         return module
-
-    def module_of(self, path: str) -> str:
-        return self._module_by_path[path]
 
     def _add_function(self, info: FunctionInfo) -> None:
         self.functions[info.qualname] = info

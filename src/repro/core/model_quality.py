@@ -62,9 +62,6 @@ class QualityProfile:
             return float("nan")
         return float(np.corrcoef(train, valid)[0, 1])
 
-    def max_gap(self) -> float:
-        return max(p.gap for p in self.points)
-
     def honest_sizes(self, gap_tolerance: float = 0.05) -> list[int]:
         """Leaf budgets whose train/valid gap stays within tolerance."""
         return [

@@ -28,12 +28,6 @@ class RocCurve:
         """Area under the polyline (trapezoidal)."""
         return float(np.trapezoid(self.tpr, self.fpr))
 
-    def best_youden(self) -> tuple[float, float]:
-        """(threshold, J) maximising Youden's J = TPR − FPR."""
-        j = self.tpr - self.fpr
-        best = int(np.argmax(j))
-        return float(self.thresholds[best]), float(j[best])
-
 
 def roc_curve(actual: np.ndarray, scores: np.ndarray) -> RocCurve:
     """Compute the ROC curve of scores against 0/1 actuals."""

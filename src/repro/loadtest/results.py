@@ -11,28 +11,16 @@ loadtest.txt``); ``to_dict()`` the machine one (``--json``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+from repro.obs.histogram import nearest_rank
 
 __all__ = [
     "RequestOutcome",
     "EndpointSummary",
     "ParityCheck",
     "LoadTestReport",
-    "percentile",
 ]
-
-
-def percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (NaN when empty).
-
-    The same definition :class:`repro.serving.metrics.RequestMetrics`
-    uses, so client-side and server-side percentiles are comparable.
-    """
-    if not ordered:
-        return float("nan")
-    rank = math.ceil(q / 100.0 * len(ordered)) - 1
-    return ordered[max(0, min(rank, len(ordered) - 1))]
 
 
 @dataclass(frozen=True)
@@ -147,9 +135,9 @@ def summarise(
             mean_ms=(
                 1000.0 * sum(latencies) / n if n else float("nan")
             ),
-            p50_ms=1000.0 * percentile(latencies, 50),
-            p95_ms=1000.0 * percentile(latencies, 95),
-            p99_ms=1000.0 * percentile(latencies, 99),
+            p50_ms=1000.0 * nearest_rank(latencies, 50),
+            p95_ms=1000.0 * nearest_rank(latencies, 95),
+            p99_ms=1000.0 * nearest_rank(latencies, 99),
             max_ms=1000.0 * latencies[-1] if n else float("nan"),
         )
     return summaries

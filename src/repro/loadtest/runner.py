@@ -38,9 +38,9 @@ from repro.loadtest.results import (
     LoadTestReport,
     ParityCheck,
     RequestOutcome,
-    percentile,
     summarise,
 )
+from repro.obs.histogram import nearest_rank
 from repro.obs.prometheus import validate_exposition
 from repro.obs.waterfall import render_waterfall
 
@@ -461,7 +461,7 @@ class LoadTest:
             slowest=slowest,
             warmup_requests=len(warmup_outcomes),
             lateness_p95_ms=(
-                1000.0 * percentile(lateness, 95) if lateness else 0.0
+                1000.0 * nearest_rank(lateness, 95) if lateness else 0.0
             ),
             waterfall=self._waterfall(slowest),
             burnrate=burnrate,

@@ -56,10 +56,6 @@ class Model:
         return self
 
     @property
-    def is_fitted(self) -> bool:
-        return self._fitted
-
-    @property
     def input_names(self) -> list[str]:
         self._require_fitted()
         assert self._input_names is not None

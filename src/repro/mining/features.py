@@ -128,10 +128,6 @@ class FeatureSet:
         return self.table.n_rows
 
     @property
-    def n_features(self) -> int:
-        return len(self.features)
-
-    @property
     def input_names(self) -> list[str]:
         return [f.name for f in self.features]
 

@@ -106,13 +106,6 @@ class _Tracker:
         self.fast.observe(bad)
         self.slow.observe(bad)
 
-    @staticmethod
-    def _burn(ring: CountRing, budget: float) -> float:
-        total, bad = ring.counts()
-        if total == 0:
-            return 0.0
-        return (bad / total) / budget
-
     def snapshot(self) -> dict:
         fast_total, fast_bad = self.fast.counts()
         slow_total, slow_bad = self.slow.counts()

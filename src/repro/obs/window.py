@@ -2,21 +2,19 @@
 
 Cumulative counters answer "how many ever"; a live operator needs "how
 many over the last minute".  This module provides that second view
-without unbounded memory: a :class:`BucketRing` is ``n_buckets``
-fixed-width buckets addressed by ``epoch = int(now / width)``.  Writing
-rotates lazily — a bucket whose stored epoch is stale is reset before
-reuse — so idle gaps of any length cost nothing and never leak old
-samples into a fresh window (the skew/gap behaviour the rotation tests
-pin).
+without unbounded memory: a ring is ``n_buckets`` fixed-width buckets
+addressed by ``epoch = int(now / width)``.  Writing rotates lazily — a
+bucket whose stored epoch is stale is reset before reuse — so idle gaps
+of any length cost nothing and never leak old samples into a fresh
+window (the skew/gap behaviour the rotation tests pin).
 
-Two ring flavours share the rotation logic:
+Two ring flavours share that one rotation:
 
-* :class:`BucketRing` — full request telemetry per bucket: count,
-  errors, a fixed latency histogram over
-  :data:`~repro.serving.metrics.BUCKET_BOUNDS`-style bounds (p50/p95/
-  p99 estimates come from the merged histogram, exact max from the
-  tracked maximum), and the slowest request's trace id so a windowed
-  outlier joins straight to its span waterfall.
+* :class:`BucketRing` — full request telemetry per bucket: errors, a
+  :class:`~repro.obs.histogram.LatencyHistogram` (exact count and max;
+  p50/p95/p99 from the merged histogram, less than 10% high and never
+  above the window max), and the slowest request's trace id so a
+  windowed outlier joins straight to its span waterfall.
 * :class:`CountRing` — just total/bad counts; the burn-rate engine's
   substrate (:mod:`repro.obs.burnrate`).
 
@@ -29,12 +27,12 @@ JSON, which has no NaN.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from typing import Callable
 
 from repro.exceptions import ConfigurationError
+from repro.obs.histogram import LatencyHistogram
 
 __all__ = [
     "BucketRing",
@@ -53,48 +51,16 @@ WINDOW_LAYOUT: tuple[tuple[str, float, int], ...] = (
 )
 
 
-class _Bucket:
-    """One time slice of a :class:`BucketRing` (owner-locked access)."""
-
-    __slots__ = (
-        "epoch", "count", "errors", "histogram", "max_seconds",
-        "slowest_trace_id",
-    )
-
-    def __init__(self, n_bounds: int):
-        self.epoch = -1
-        self.count = 0
-        self.errors = 0
-        self.histogram = [0] * (n_bounds + 1)  # [+Inf last]
-        self.max_seconds = 0.0
-        self.slowest_trace_id: str | None = None
-
-    def reset(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.count = 0
-        self.errors = 0
-        for i in range(len(self.histogram)):
-            self.histogram[i] = 0
-        self.max_seconds = 0.0
-        self.slowest_trace_id = None
-
-
-class BucketRing:
-    """Rolling request telemetry over ``n_buckets`` × ``width`` seconds.
-
-    Thread-safe; every observation and summary costs O(buckets) at
-    worst and allocates nothing on the write path.  ``bounds`` are the
-    histogram's upper bucket bounds in seconds (the metrics layer
-    passes its Prometheus bounds so windowed and cumulative percentiles
-    are estimated over the same grid).
-    """
+class _Ring:
+    """``n_buckets`` epoch-addressed slots; subclasses hold the lock
+    while they touch a slot."""
 
     def __init__(
         self,
         width_seconds: float,
         n_buckets: int,
-        bounds: tuple[float, ...],
-        clock: Callable[[], float] = time.monotonic,
+        new_bucket: Callable[[], object],
+        clock: Callable[[], float],
     ):
         if width_seconds <= 0:
             raise ConfigurationError(
@@ -106,20 +72,61 @@ class BucketRing:
             )
         self.width = width_seconds
         self.n_buckets = n_buckets
-        self.bounds = tuple(bounds)
         self._clock = clock
         self._lock = threading.Lock()
-        self._buckets = [_Bucket(len(self.bounds)) for _ in range(n_buckets)]
+        self._buckets = [new_bucket() for _ in range(n_buckets)]
 
     @property
     def span_seconds(self) -> float:
         return self.width * self.n_buckets
 
-    def _bucket_for(self, epoch: int) -> _Bucket:
+    def _current(self, now: float):
+        """The bucket for ``now``, reset first if it holds a stale epoch."""
+        epoch = int(now / self.width)
         bucket = self._buckets[epoch % self.n_buckets]
         if bucket.epoch != epoch:
             bucket.reset(epoch)
         return bucket
+
+    def _live(self, now: float) -> list:
+        newest = int(now / self.width)
+        oldest = newest - self.n_buckets + 1
+        return [b for b in self._buckets if oldest <= b.epoch <= newest]
+
+
+class _Bucket:
+    """One time slice of a :class:`BucketRing`."""
+
+    __slots__ = ("epoch", "errors", "latency", "slowest_trace_id")
+
+    def __init__(self) -> None:
+        self.epoch = -1
+        self.errors = 0
+        self.latency = LatencyHistogram()
+        self.slowest_trace_id: str | None = None
+
+    def reset(self, epoch: int) -> None:
+        self.epoch = epoch
+        self.errors = 0
+        self.latency.clear()
+        self.slowest_trace_id = None
+
+
+class BucketRing(_Ring):
+    """Rolling request telemetry over ``n_buckets`` × ``width`` seconds.
+
+    Thread-safe.  A bucket's histogram bins are allocated on its first
+    write, so an endpoint's three standard rings hold at most 180 bin
+    arrays (about 1.04 MB) however long the server runs.
+    """
+
+    def __init__(
+        self,
+        width_seconds: float,
+        n_buckets: int,
+        clock: Callable[[], float] = time.monotonic,
+    ):
+        super().__init__(width_seconds, n_buckets, _Bucket, clock)
 
     def observe(
         self,
@@ -129,44 +136,12 @@ class BucketRing:
     ) -> None:
         now = self._clock()
         with self._lock:
-            bucket = self._bucket_for(int(now / self.width))
-            bucket.count += 1
+            bucket = self._current(now)
             if error:
                 bucket.errors += 1
-            for i, bound in enumerate(self.bounds):
-                if seconds <= bound:
-                    bucket.histogram[i] += 1
-                    break
-            else:
-                bucket.histogram[-1] += 1
-            if seconds >= bucket.max_seconds:
-                bucket.max_seconds = seconds
-                if trace_id is not None:
-                    bucket.slowest_trace_id = trace_id
-
-    def _live_buckets(self, now: float) -> list[_Bucket]:
-        newest = int(now / self.width)
-        oldest = newest - self.n_buckets + 1
-        return [b for b in self._buckets if oldest <= b.epoch <= newest]
-
-    def _percentile_estimate(
-        self, histogram: list[int], total: int, q: float, max_seconds: float
-    ) -> float | None:
-        """Upper-bound estimate from the merged histogram (None when
-        empty), clamped to the window's exact maximum so a percentile
-        never reads above ``max``.  The +Inf bucket reports the exact
-        maximum directly."""
-        if total == 0:
-            return None
-        rank = max(1, math.ceil(q / 100.0 * total))
-        cumulative = 0
-        for i, n in enumerate(histogram):
-            cumulative += n
-            if cumulative >= rank:
-                if i < len(self.bounds):
-                    return min(self.bounds[i], max_seconds)
-                return max_seconds
-        return max_seconds  # unreachable; histogram sums to total
+            if seconds >= bucket.latency.max_seconds:
+                bucket.slowest_trace_id = trace_id
+            bucket.latency.add(seconds)
 
     def summary(self) -> dict:
         """The window folded into one NaN-free dict.
@@ -177,28 +152,27 @@ class BucketRing:
         is empty; percentiles are ``None`` (JSON null) when empty.
         """
         now = self._clock()
+        merged = LatencyHistogram()
+        errors = 0
+        slowest_trace_id = None
         with self._lock:
-            live = self._live_buckets(now)
-            count = sum(b.count for b in live)
-            errors = sum(b.errors for b in live)
-            histogram = [0] * (len(self.bounds) + 1)
-            max_seconds = 0.0
-            slowest_trace_id = None
-            for b in live:
-                for i, n in enumerate(b.histogram):
-                    histogram[i] += n
-                if b.count and b.max_seconds >= max_seconds:
-                    max_seconds = b.max_seconds
+            for b in self._live(now):
+                errors += b.errors
+                if b.latency.count and (
+                    b.latency.max_seconds >= merged.max_seconds
+                ):
                     slowest_trace_id = b.slowest_trace_id
+                merged.merge(b.latency)
+        count = merged.count
         return {
             "count": count,
             "errors": errors,
             "rate": count / self.span_seconds,
             "error_rate": (errors / count) if count else 0.0,
-            "p50": self._percentile_estimate(histogram, count, 50, max_seconds),
-            "p95": self._percentile_estimate(histogram, count, 95, max_seconds),
-            "p99": self._percentile_estimate(histogram, count, 99, max_seconds),
-            "max": max_seconds if count else None,
+            "p50": merged.quantile(50),
+            "p95": merged.quantile(95),
+            "p99": merged.quantile(99),
+            "max": merged.max_seconds if count else None,
             "slowest_trace_id": slowest_trace_id,
         }
 
@@ -207,12 +181,15 @@ class _CountBucket:
     __slots__ = ("epoch", "total", "bad")
 
     def __init__(self) -> None:
-        self.epoch = -1
+        self.reset(-1)
+
+    def reset(self, epoch: int) -> None:
+        self.epoch = epoch
         self.total = 0
         self.bad = 0
 
 
-class CountRing:
+class CountRing(_Ring):
     """Rolling total/bad event counts (the burn-rate substrate)."""
 
     def __init__(
@@ -221,33 +198,12 @@ class CountRing:
         n_buckets: int,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if width_seconds <= 0:
-            raise ConfigurationError(
-                f"width_seconds must be > 0, got {width_seconds}"
-            )
-        if n_buckets < 2:
-            raise ConfigurationError(
-                f"n_buckets must be >= 2, got {n_buckets}"
-            )
-        self.width = width_seconds
-        self.n_buckets = n_buckets
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._buckets = [_CountBucket() for _ in range(n_buckets)]
-
-    @property
-    def span_seconds(self) -> float:
-        return self.width * self.n_buckets
+        super().__init__(width_seconds, n_buckets, _CountBucket, clock)
 
     def observe(self, bad: bool) -> None:
         now = self._clock()
         with self._lock:
-            epoch = int(now / self.width)
-            bucket = self._buckets[epoch % self.n_buckets]
-            if bucket.epoch != epoch:
-                bucket.epoch = epoch
-                bucket.total = 0
-                bucket.bad = 0
+            bucket = self._current(now)
             bucket.total += 1
             if bad:
                 bucket.bad += 1
@@ -256,14 +212,8 @@ class CountRing:
         """(total, bad) events currently inside the window."""
         now = self._clock()
         with self._lock:
-            newest = int(now / self.width)
-            oldest = newest - self.n_buckets + 1
-            total = bad = 0
-            for bucket in self._buckets:
-                if oldest <= bucket.epoch <= newest:
-                    total += bucket.total
-                    bad += bucket.bad
-            return total, bad
+            live = self._live(now)
+            return sum(b.total for b in live), sum(b.bad for b in live)
 
 
 class WindowedMetrics:
@@ -276,12 +226,11 @@ class WindowedMetrics:
 
     def __init__(
         self,
-        bounds: tuple[float, ...],
         clock: Callable[[], float] = time.monotonic,
         layout: tuple[tuple[str, float, int], ...] = WINDOW_LAYOUT,
     ):
         self.rings = {
-            name: BucketRing(width, n, bounds, clock=clock)
+            name: BucketRing(width, n, clock=clock)
             for name, width, n in layout
         }
 

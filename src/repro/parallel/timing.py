@@ -13,10 +13,9 @@ checks must compare report *values* and ignore this record.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from repro.exceptions import ConfigurationError, StageNotFoundError
+from repro.exceptions import StageNotFoundError
 
 __all__ = ["TaskTiming", "StageTiming", "StageTimings"]
 
@@ -48,10 +47,6 @@ class StageTiming:
     def n_tasks(self) -> int:
         return len(self.tasks)
 
-    @property
-    def task_seconds(self) -> float:
-        return sum(t.seconds for t in self.tasks)
-
     def threshold_seconds(self) -> dict[int, float]:
         """threshold → summed task seconds (tasks without one skipped)."""
         out: dict[int, float] = {}
@@ -59,41 +54,6 @@ class StageTiming:
             if t.threshold is not None:
                 out[t.threshold] = out.get(t.threshold, 0.0) + t.seconds
         return out
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank ``q``-th percentile of per-task seconds.
-
-        ``q`` is in [0, 100]; NaN when no tasks were recorded.  The
-        serving layer uses this to report request-latency p50/p95/p99
-        with the same record type the sweep engine times stages with.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ConfigurationError(
-                f"percentile must be in [0, 100], got {q}"
-            )
-        if not self.tasks:
-            return float("nan")
-        ordered = sorted(t.seconds for t in self.tasks)
-        rank = math.ceil(q / 100.0 * len(ordered)) - 1
-        return ordered[max(0, min(rank, len(ordered) - 1))]
-
-    def latency_summary(self) -> dict[str, float]:
-        """count / mean / p50 / p95 / p99 / max over per-task seconds."""
-        if not self.tasks:
-            nan = float("nan")
-            return {
-                "count": 0, "mean": nan, "p50": nan,
-                "p95": nan, "p99": nan, "max": nan,
-            }
-        seconds = [t.seconds for t in self.tasks]
-        return {
-            "count": len(seconds),
-            "mean": sum(seconds) / len(seconds),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": max(seconds),
-        }
 
 
 @dataclass

@@ -129,9 +129,6 @@ class CrashOutcome:
     def n_crashes(self) -> int:
         return int(self.total_counts.sum())
 
-    def crash_segment_mask(self) -> np.ndarray:
-        return self.total_counts > 0
-
     def count_histogram(self) -> dict[int, int]:
         """count value → number of segments with that 4-year count."""
         values, freq = np.unique(self.total_counts, return_counts=True)

@@ -1,25 +1,18 @@
 """Per-endpoint request counters and latency histograms — bounded.
 
-Earlier revisions stored one :class:`~repro.parallel.timing.TaskTiming`
-per request, so a long-lived server's metrics grew without bound (the
-unbounded-memory bug this module now fixes).  The per-endpoint record
-keeps three bounded structures instead:
+The per-endpoint record is bounded by construction, so a long-lived
+server's metrics do not grow with traffic:
 
-* **exact scalars** — request count, summed/maximum seconds, error
-  count and per-type error counts are plain counters, exact forever;
-* **fixed histogram buckets** — one counter per bound in
-  :data:`BUCKET_BOUNDS`, feeding the Prometheus exposition
-  (:meth:`RequestMetrics.prometheus_snapshot`);
-* **a latency reservoir** — Algorithm R over at most
-  :data:`RESERVOIR_SIZE` samples, driven by an inline 64-bit LCG (no
-  stdlib RNG, deterministic given the arrival order).
-
-Semantics change vs. the unbounded version: ``count`` / ``mean`` /
-``max`` / error counters stay exact, but percentiles (``p50`` /
-``p95`` / ``p99``) are computed over the reservoir — exact up to
-``RESERVOIR_SIZE`` requests per endpoint, a uniform sample beyond
-that.  ``to_stage_timings`` likewise carries at most one sampled task
-per reservoir slot while ``wall_seconds`` remains the exact sum.
+* **exact scalars** — error count and per-type error counts are plain
+  counters, exact forever;
+* **one latency histogram** — a
+  :class:`~repro.obs.histogram.LatencyHistogram` with exact count, sum
+  and max plus 722 fixed log-linear bins.  Percentiles (``p50`` /
+  ``p95`` / ``p99``) are the nearest-rank bin's upper edge clamped to
+  the max: never below the exact value, less than 10% above it for
+  latencies from 1 µs to 100 s.  Every :data:`BUCKET_BOUNDS` value is a
+  bin edge, so the Prometheus buckets
+  (:meth:`RequestMetrics.prometheus_snapshot`) are exact sums of bins.
 
 ``errors`` can exceed ``count``: :meth:`RequestMetrics.record_error`
 counts failures that happen *after* the request was timed (response
@@ -27,17 +20,17 @@ serialisation, socket writes) without a second latency observation.
 
 Alongside the cumulative record, every endpoint carries a
 :class:`~repro.obs.window.WindowedMetrics` bundle (1m/5m/1h ring
-buffers) answering "rate / error-rate / p95 over the last minute" with
-bounded memory — see :meth:`RequestMetrics.windowed_summary`.  Window
-rings own their locks and are updated *after* the cumulative lock is
-released, so cumulative counts always lead windowed counts and no two
-locks are ever held together.
+buffers of the same histogram) answering "rate / error-rate / p95 over
+the last minute" with bounded memory — see
+:meth:`RequestMetrics.windowed_summary`.  Window rings own their locks
+and are updated *after* the cumulative lock is released, so cumulative
+counts always lead windowed counts and no two locks are ever held
+together.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import threading
 import time
 from collections import Counter
@@ -46,88 +39,35 @@ from time import perf_counter
 from typing import Callable
 
 from repro.exceptions import ReproError
+from repro.obs.histogram import LatencyHistogram
 from repro.obs.window import WindowedMetrics
-from repro.parallel.timing import StageTiming, StageTimings, TaskTiming
 
-__all__ = ["RequestMetrics", "BUCKET_BOUNDS", "RESERVOIR_SIZE"]
+__all__ = ["RequestMetrics", "BUCKET_BOUNDS"]
 
 logger = logging.getLogger("repro.serving.metrics")
 
 #: Histogram bucket upper bounds in seconds (Prometheus ``le`` values);
-#: the implicit final bucket is ``+Inf``.
+#: the implicit final bucket is ``+Inf``.  Each is a histogram edge.
 BUCKET_BOUNDS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-#: Latency samples kept per endpoint; percentiles are exact below this
-#: many requests and reservoir-sampled beyond it.
-RESERVOIR_SIZE = 512
-
-# 64-bit LCG (Knuth's MMIX constants): deterministic, seedless-stdlib-
-# free randomness for reservoir replacement decisions.  Metrics need
-# uniformity, not unpredictability.
-_LCG_MULT = 6364136223846793005
-_LCG_INC = 1442695040888963407
-_LCG_MASK = (1 << 64) - 1
 
 
 class _EndpointRecord:
     """Bounded per-endpoint accumulator (all access under the owner's
     lock)."""
 
-    __slots__ = (
-        "count", "sum_seconds", "max_seconds", "errors", "error_types",
-        "bucket_counts", "samples", "_rng_state",
-    )
+    __slots__ = ("latency", "errors", "error_types")
 
     def __init__(self) -> None:
-        self.count = 0
-        self.sum_seconds = 0.0
-        self.max_seconds = 0.0
+        self.latency = LatencyHistogram()
         self.errors = 0
         self.error_types: Counter = Counter()
-        self.bucket_counts = [0] * (len(BUCKET_BOUNDS) + 1)  # [+Inf last]
-        self.samples: list[float] = []
-        self._rng_state = 0x9E3779B97F4A7C15
-
-    def _next_random(self, bound: int) -> int:
-        """Uniform int in [0, bound) from the record's LCG stream."""
-        self._rng_state = (
-            self._rng_state * _LCG_MULT + _LCG_INC
-        ) & _LCG_MASK
-        return (self._rng_state >> 33) % bound
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.sum_seconds += seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-        for i, bound in enumerate(BUCKET_BOUNDS):
-            if seconds <= bound:
-                self.bucket_counts[i] += 1
-                break
-        else:
-            self.bucket_counts[-1] += 1
-        # Algorithm R: keep the first RESERVOIR_SIZE samples, then
-        # replace a uniformly chosen slot with probability size/count.
-        if len(self.samples) < RESERVOIR_SIZE:
-            self.samples.append(seconds)
-        else:
-            slot = self._next_random(self.count)
-            if slot < RESERVOIR_SIZE:
-                self.samples[slot] = seconds
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile over the reservoir (NaN when empty)."""
-        if not self.samples:
-            return float("nan")
-        ordered = sorted(self.samples)
-        rank = math.ceil(q / 100.0 * len(ordered)) - 1
-        return ordered[max(0, min(rank, len(ordered) - 1))]
 
     def summary(self) -> dict:
-        if self.count == 0:
+        latency = self.latency
+        if latency.count == 0:
             nan = float("nan")
             record = {
                 "count": 0, "mean": nan, "p50": nan,
@@ -135,12 +75,12 @@ class _EndpointRecord:
             }
         else:
             record = {
-                "count": self.count,
-                "mean": self.sum_seconds / self.count,
-                "p50": self.percentile(50),
-                "p95": self.percentile(95),
-                "p99": self.percentile(99),
-                "max": self.max_seconds,
+                "count": latency.count,
+                "mean": latency.sum_seconds / latency.count,
+                "p50": latency.quantile(50),
+                "p95": latency.quantile(95),
+                "p99": latency.quantile(99),
+                "max": latency.max_seconds,
             }
         record["errors"] = self.errors
         record["error_types"] = dict(self.error_types)
@@ -150,10 +90,10 @@ class _EndpointRecord:
 class RequestMetrics:
     """Thread-safe bounded request counters + latency histograms.
 
-    The write-path API (:meth:`observe`, :meth:`timed`) and the read
-    side (:meth:`summary`, :meth:`to_stage_timings`, :meth:`render`)
-    are unchanged from the unbounded implementation; see the module
-    docstring for the percentile-sampling semantics.
+    Write with :meth:`observe` or :meth:`timed`; read with
+    :meth:`summary`, :meth:`windowed_summary`,
+    :meth:`prometheus_snapshot` or :meth:`render`.  See the module
+    docstring for the percentile bounds.
     """
 
     def __init__(
@@ -174,7 +114,7 @@ class RequestMetrics:
         windows = self._windows.get(endpoint)
         if windows is None:
             windows = self._windows[endpoint] = WindowedMetrics(
-                BUCKET_BOUNDS, clock=self._clock
+                clock=self._clock
             )
         return windows
 
@@ -193,7 +133,7 @@ class RequestMetrics:
         """
         with self._lock:
             record = self._record(endpoint)
-            record.observe(seconds)
+            record.latency.add(seconds)
             if error:
                 record.errors += 1
                 record.error_types[error_type or "unknown"] += 1
@@ -254,8 +194,8 @@ class RequestMetrics:
         with self._lock:
             if endpoint is not None:
                 record = self._endpoints.get(endpoint)
-                return record.count if record is not None else 0
-            return sum(r.count for r in self._endpoints.values())
+                return record.latency.count if record is not None else 0
+            return sum(r.latency.count for r in self._endpoints.values())
 
     def error_count(self, endpoint: str | None = None) -> int:
         with self._lock:
@@ -296,46 +236,18 @@ class RequestMetrics:
             out: dict[str, dict] = {}
             for endpoint in sorted(self._endpoints):
                 record = self._endpoints[endpoint]
-                cumulative = 0
-                buckets = []
-                for bound, n in zip(
-                    BUCKET_BOUNDS, record.bucket_counts
-                ):
-                    cumulative += n
-                    buckets.append((bound, cumulative))
+                latency = record.latency
                 out[endpoint] = {
-                    "count": record.count,
-                    "sum_seconds": record.sum_seconds,
+                    "count": latency.count,
+                    "sum_seconds": latency.sum_seconds,
                     "errors": record.errors,
                     "error_types": dict(record.error_types),
-                    "buckets": buckets,
+                    "buckets": [
+                        (bound, latency.count_le(bound))
+                        for bound in BUCKET_BOUNDS
+                    ],
                 }
             return out
-
-    def to_stage_timings(self) -> StageTimings:
-        """The request log as a sweep-style ``StageTimings``.
-
-        ``wall_seconds`` per endpoint is the exact latency sum; the
-        task list carries the (at most ``RESERVOIR_SIZE``) sampled
-        latencies, so ``n_tasks`` can undercount busy endpoints —
-        ``request_count`` is the exact figure.
-        """
-        with self._lock:
-            return StageTimings(
-                backend="serving",
-                n_jobs=1,
-                stages=[
-                    StageTiming(
-                        stage=endpoint,
-                        wall_seconds=record.sum_seconds,
-                        tasks=[
-                            TaskTiming(key=f"{endpoint}#{i}", seconds=s)
-                            for i, s in enumerate(record.samples)
-                        ],
-                    )
-                    for endpoint, record in self._endpoints.items()
-                ],
-            )
 
     def render(self) -> str:
         """Fixed-width latency table (milliseconds), one row per endpoint."""

@@ -15,7 +15,6 @@ import math
 
 from repro.obs import BucketRing, CountRing, WindowedMetrics
 from repro.obs.window import WINDOW_LAYOUT
-from repro.serving.metrics import BUCKET_BOUNDS
 
 
 class FakeClock:
@@ -30,9 +29,7 @@ class FakeClock:
 
 
 def make_ring(width=1.0, n=60, clock=None):
-    return BucketRing(
-        width, n, BUCKET_BOUNDS, clock=clock or FakeClock()
-    )
+    return BucketRing(width, n, clock=clock or FakeClock())
 
 
 def assert_json_safe(summary: dict) -> None:
@@ -60,9 +57,9 @@ class TestEmptyAndValidation:
         import pytest
 
         with pytest.raises(ValueError):
-            BucketRing(0.0, 60, BUCKET_BOUNDS)
+            BucketRing(0.0, 60)
         with pytest.raises(ValueError):
-            BucketRing(1.0, 1, BUCKET_BOUNDS)
+            BucketRing(1.0, 1)
         with pytest.raises(ValueError):
             CountRing(-1.0, 60)
         with pytest.raises(ValueError):
@@ -174,21 +171,28 @@ class TestSummaries:
         assert ring.summary()["rate"] == 2.0
 
     def test_slowest_trace_survives_none_trace_ids(self):
-        ring = make_ring()
-        ring.observe(0.500, trace_id=None)  # slowest but anonymous
-        ring.observe(0.100, trace_id="fast")
-        # The anonymous outlier must not inherit a wrong trace id.
-        assert ring.summary()["max"] == 0.500
+        # The anonymous outlier must not inherit a wrong trace id,
+        # whichever order the two requests arrive in.
+        for first, second in (
+            ((0.500, None), (0.100, "fast")),
+            ((0.100, "fast"), (0.500, None)),
+        ):
+            ring = make_ring()
+            for seconds, trace_id in (first, second):
+                ring.observe(seconds, trace_id=trace_id)
+            summary = ring.summary()
+            assert summary["max"] == 0.500
+            assert summary["slowest_trace_id"] is None
 
 
 class TestWindowedMetrics:
     def test_layout_names(self):
-        wm = WindowedMetrics(BUCKET_BOUNDS, clock=FakeClock())
+        wm = WindowedMetrics(clock=FakeClock())
         assert set(wm.summary()) == {name for name, _, _ in WINDOW_LAYOUT}
 
     def test_fan_out_hits_every_ring(self):
         clock = FakeClock()
-        wm = WindowedMetrics(BUCKET_BOUNDS, clock=clock)
+        wm = WindowedMetrics(clock=clock)
         wm.observe(0.050, error=True, trace_id="abc")
         for name in ("1m", "5m", "1h"):
             assert wm.summary()[name]["count"] == 1
@@ -196,7 +200,7 @@ class TestWindowedMetrics:
 
     def test_short_window_forgets_before_long_window(self):
         clock = FakeClock()
-        wm = WindowedMetrics(BUCKET_BOUNDS, clock=clock)
+        wm = WindowedMetrics(clock=clock)
         wm.observe(0.010)
         clock.advance(90.0)  # past 1m, inside 5m and 1h
         summary = wm.summary()

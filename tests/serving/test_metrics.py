@@ -5,7 +5,8 @@ import threading
 import pytest
 
 from repro.serving import RequestMetrics
-from repro.serving.metrics import BUCKET_BOUNDS, RESERVOIR_SIZE
+from repro.obs.histogram import N_BINS
+from repro.serving.metrics import BUCKET_BOUNDS
 
 
 class TestObserve:
@@ -67,16 +68,6 @@ class TestSummaries:
         assert record["max"] == 0.100
         assert record["p50"] <= record["p95"] <= record["p99"] <= record["max"]
 
-    def test_to_stage_timings_roundtrip(self):
-        metrics = RequestMetrics()
-        metrics.observe("POST /v1/score", 0.02)
-        metrics.observe("POST /v1/score", 0.04)
-        timings = metrics.to_stage_timings()
-        assert timings.backend == "serving"
-        stage = timings.stage("POST /v1/score")
-        assert stage.n_tasks == 2
-        assert stage.wall_seconds == pytest.approx(0.06)
-
     def test_render_contains_endpoints(self):
         metrics = RequestMetrics()
         metrics.observe("POST /v1/score", 0.02)
@@ -91,34 +82,16 @@ class TestBoundedMemory:
 
     def test_storage_is_bounded_and_counters_stay_exact(self):
         metrics = RequestMetrics()
-        n = 3 * RESERVOIR_SIZE
+        n = 1536
         for i in range(n):
             metrics.observe("POST /v1/score", (i % 100 + 1) / 1000.0)
         record = metrics._endpoints["POST /v1/score"]
-        assert len(record.samples) == RESERVOIR_SIZE
+        # One fixed bin array, however many requests arrive.
+        assert record.latency._bins.shape == (N_BINS,)
         summary = metrics.summary()["POST /v1/score"]
         assert summary["count"] == n
         assert summary["max"] == 0.100
-        # Reservoir percentiles stay inside the observed value range
-        # and ordered, even though they are sampled.
         assert 0.001 <= summary["p50"] <= summary["p95"] <= 0.100
-
-    def test_percentiles_exact_below_reservoir_size(self):
-        metrics = RequestMetrics()
-        for ms in range(1, RESERVOIR_SIZE + 1):
-            metrics.observe("e", ms / 1000.0)
-        record = metrics._endpoints["e"]
-        assert len(record.samples) == RESERVOIR_SIZE
-        assert metrics.summary()["e"]["p50"] == RESERVOIR_SIZE / 2 / 1000.0
-
-    def test_reservoir_is_deterministic(self):
-        def fill():
-            metrics = RequestMetrics()
-            for i in range(2000):
-                metrics.observe("e", (i % 37) / 1000.0)
-            return list(metrics._endpoints["e"].samples)
-
-        assert fill() == fill()
 
 
 class TestRecordError:

@@ -1,14 +1,17 @@
-"""Property-based tests: reservoir percentiles and arrival schedules.
+"""Property-based tests: histogram percentiles and arrival schedules.
 
 Hypothesis drives :class:`RequestMetrics` with arbitrary latency
 streams and checks the invariants the load-test harness leans on:
 
-* below ``RESERVOIR_SIZE`` observations the reservoir holds *every*
-  sample, so percentiles are exactly nearest-rank over the full data;
-* at any count, percentiles are monotone across quantiles, bounded by
-  the observed min/max, and drawn from the observed values;
-* the exact counters (count / mean / max) never degrade, whatever the
-  reservoir does.
+* cumulative and windowed p50/p95/p99 never fall below the exact
+  nearest-rank value and are less than 10% above it (and never above
+  the max) whenever that value is at least 1 µs;
+* at any count, percentiles are monotone across quantiles and bounded
+  by the observed min/max;
+* the exact counters (count / mean / max) never degrade;
+* the Prometheus buckets equal the per-bound ``seconds <= bound`` loop
+  the metrics layer used before the histogram, at and one ulp either
+  side of every bound.
 
 Plus the open-loop arrival properties (interarrival gaps are
 non-negative, schedules deterministic in the seed, offsets monotone)
@@ -23,7 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.loadtest import interarrival_times, start_offsets
-from repro.serving.metrics import RESERVOIR_SIZE, RequestMetrics
+from repro.obs.histogram import nearest_rank
+from repro.serving.metrics import BUCKET_BOUNDS, RequestMetrics
 
 latencies = st.floats(
     min_value=0.0,
@@ -32,31 +36,58 @@ latencies = st.floats(
     allow_infinity=False,
 )
 
+#: 0.0 plus every bucket bound and its float neighbours.
+bound_edges = st.sampled_from(
+    [0.0]
+    + [
+        value
+        for bound in BUCKET_BOUNDS
+        for value in (
+            math.nextafter(bound, 0.0),
+            bound,
+            math.nextafter(bound, math.inf),
+        )
+    ]
+)
 
-def _nearest_rank(values, q):
-    ordered = sorted(values)
-    rank = math.ceil(q / 100.0 * len(ordered)) - 1
-    return ordered[max(0, min(rank, len(ordered) - 1))]
+
+def _reference_buckets(samples):
+    """Cumulative ``le`` counts by the direct per-bound loop."""
+    counts = [0] * len(BUCKET_BOUNDS)
+    for seconds in samples:
+        for i, bound in enumerate(BUCKET_BOUNDS):
+            if seconds <= bound:
+                counts[i] += 1
+                break
+    cumulative, out = 0, []
+    for bound, n in zip(BUCKET_BOUNDS, counts):
+        cumulative += n
+        out.append((bound, cumulative))
+    return out
 
 
-class TestReservoirPercentiles:
+class TestHistogramPercentiles:
     @given(
-        samples=st.lists(latencies, min_size=1, max_size=RESERVOIR_SIZE),
+        samples=st.lists(latencies, min_size=1, max_size=1024),
         q=st.sampled_from([50, 95, 99]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_exact_below_reservoir_size(self, samples, q):
-        metrics = RequestMetrics()
+    def test_cumulative_and_windowed_within_error_bound(self, samples, q):
+        metrics = RequestMetrics(clock=lambda: 1000.0)
         for seconds in samples:
             metrics.observe("e", seconds)
-        summary = metrics.summary()["e"]
-        assert summary[f"p{q}"] == _nearest_rank(samples, q)
+        exact = nearest_rank(sorted(samples), q)
+        top = max(samples)
+        estimates = [metrics.summary()["e"][f"p{q}"]] + [
+            window[f"p{q}"]
+            for window in metrics.windowed_summary()["e"].values()
+        ]
+        for estimate in estimates:
+            assert estimate <= top
+            if exact >= 1e-6:
+                assert exact <= estimate <= min(top, 1.1 * exact)
 
-    @given(
-        samples=st.lists(
-            latencies, min_size=1, max_size=2 * RESERVOIR_SIZE
-        )
-    )
+    @given(samples=st.lists(latencies, min_size=1, max_size=1024))
     @settings(max_examples=40, deadline=None)
     def test_monotone_and_bounded_for_any_count(self, samples):
         metrics = RequestMetrics()
@@ -64,19 +95,10 @@ class TestReservoirPercentiles:
             metrics.observe("e", seconds)
         summary = metrics.summary()["e"]
         p50, p95, p99 = summary["p50"], summary["p95"], summary["p99"]
-        # Quantile monotonicity holds whatever the reservoir sampled.
         assert p50 <= p95 <= p99
-        # Every percentile is one of the observed values, inside the
-        # observed range.
         assert min(samples) <= p50 and p99 <= max(samples)
-        observed = set(samples)
-        assert {p50, p95, p99} <= observed
 
-    @given(
-        samples=st.lists(
-            latencies, min_size=1, max_size=2 * RESERVOIR_SIZE
-        )
-    )
+    @given(samples=st.lists(latencies, min_size=1, max_size=1024))
     @settings(max_examples=40, deadline=None)
     def test_exact_counters_never_degrade(self, samples):
         metrics = RequestMetrics()
@@ -91,6 +113,22 @@ class TestReservoirPercentiles:
             rel_tol=1e-9,
             abs_tol=1e-12,
         )
+
+
+class TestPrometheusParity:
+    @given(
+        samples=st.lists(
+            st.one_of(latencies, bound_edges), min_size=1, max_size=200
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_buckets_match_reference_loop(self, samples):
+        metrics = RequestMetrics()
+        for seconds in samples:
+            metrics.observe("e", seconds)
+        snapshot = metrics.prometheus_snapshot()["e"]
+        assert snapshot["buckets"] == _reference_buckets(samples)
+        assert snapshot["count"] == len(samples)
 
 
 class TestWindowedContainment:
