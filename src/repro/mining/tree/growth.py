@@ -7,6 +7,13 @@ tree" — i.e. a leaf budget plus the split test's significance gate.
 ranked by adjusted p-value, the globally most significant expansion is
 applied first, and growth stops when the leaf budget, depth limit,
 minimum node sizes or the significance threshold bite.
+
+Numeric features are sorted once per tree (SLIQ's presorted attribute
+lists): every pending node carries, per numeric feature, its row ids in
+that feature's stable sorted order, and a child's lists are its
+parent's filtered to the child's rows.  Node row ids always ascend, so
+the filtered lists are exactly what a stable argsort at the child would
+give, and the trees are those of re-sorting at every node.
 """
 
 from __future__ import annotations
@@ -23,8 +30,7 @@ from repro.mining.tree.splitting import (
     SplitCandidate,
     best_categorical_split_chi2,
     best_categorical_split_f,
-    best_numeric_split_chi2,
-    best_numeric_split_f,
+    best_numeric_splits,
 )
 from repro.mining.tree.structure import Branch, TreeNode, partition_indices
 
@@ -71,6 +77,10 @@ class TreeConfig:
             )
         if self.max_leaves < 2:
             raise ConfigurationError(f"max_leaves must be >= 2, got {self.max_leaves}")
+        if self.max_candidates < 1:
+            raise ConfigurationError(
+                f"max_candidates must be >= 1, got {self.max_candidates}"
+            )
 
 
 @dataclass
@@ -85,40 +95,47 @@ class GrownTree:
 
 def _best_split(
     features: FeatureSet,
+    numeric: np.ndarray,
     y: np.ndarray,
     idx: np.ndarray,
+    block: np.ndarray,
     config: TreeConfig,
     mode: str,
 ) -> SplitCandidate | None:
-    """Most significant candidate over all features for rows ``idx``."""
+    """Most significant candidate over all features for rows ``idx``.
+
+    ``numeric`` stacks the numeric features' values (one row each, in
+    feature order) and ``block`` holds, per row, the node's row ids in
+    that feature's sorted order.
+    """
     best: SplitCandidate | None = None
     y_sub = y[idx]
     if mode == "chi2" and (y_sub.min() == y_sub.max()):
         return None  # pure node
+    numeric_splits = iter(
+        best_numeric_splits(
+            [f.name for f in features.features if f.is_numeric],
+            np.take_along_axis(numeric, block, axis=1),
+            y[block],
+            mode,
+            config.min_leaf,
+            config.max_candidates,
+            config.bonferroni,
+        )
+    )
     for feature in features.features:
-        values = feature.values[idx]
         if feature.is_numeric:
-            if mode == "chi2":
-                candidate = best_numeric_split_chi2(
-                    feature.name, values, y_sub, config.min_leaf,
-                    config.max_candidates, config.bonferroni,
-                )
-            else:
-                candidate = best_numeric_split_f(
-                    feature.name, values, y_sub, config.min_leaf,
-                    config.max_candidates, config.bonferroni,
-                )
+            candidate = next(numeric_splits)
+        elif mode == "chi2":
+            candidate = best_categorical_split_chi2(
+                feature.name, feature.values[idx], feature.n_levels, y_sub,
+                config.min_leaf, config.merge_alpha, config.bonferroni,
+            )
         else:
-            if mode == "chi2":
-                candidate = best_categorical_split_chi2(
-                    feature.name, values, feature.n_levels, y_sub,
-                    config.min_leaf, config.merge_alpha, config.bonferroni,
-                )
-            else:
-                candidate = best_categorical_split_f(
-                    feature.name, values, feature.n_levels, y_sub,
-                    config.min_leaf, config.merge_alpha, config.bonferroni,
-                )
+            candidate = best_categorical_split_f(
+                feature.name, feature.values[idx], feature.n_levels, y_sub,
+                config.min_leaf, config.merge_alpha, config.bonferroni,
+            )
         if candidate is None:
             continue
         if best is None or (candidate.p_value, -candidate.statistic) < (
@@ -185,17 +202,23 @@ def grow_tree(
 
     ids = itertools.count(0)
     root = TreeNode(next(ids), 0, n, float(np.mean(y)))
-    all_idx = np.arange(n, dtype=np.int64)
-    heap: list[tuple[float, float, int, TreeNode, np.ndarray, SplitCandidate]] = []
+    numeric_features = [f for f in features.features if f.is_numeric]
+    numeric = np.array(
+        [f.values for f in numeric_features], dtype=np.float64
+    ).reshape(len(numeric_features), n)
+    heap: list[
+        tuple[float, float, int, TreeNode, np.ndarray, np.ndarray, SplitCandidate]
+    ] = []
     tiebreak = itertools.count()
+    owner = np.empty(n, dtype=np.int64)
 
-    def consider(node: TreeNode, idx: np.ndarray) -> None:
+    def consider(node: TreeNode, idx: np.ndarray, block: np.ndarray) -> None:
         if (
             idx.size < config.min_split
             or node.depth >= config.max_depth
         ):
             return
-        split = _best_split(features, y, idx, config, mode)
+        split = _best_split(features, numeric, y, idx, block, config, mode)
         if split is None or split.p_value > config.alpha:
             return
         heapq.heappush(
@@ -206,16 +229,22 @@ def grow_tree(
                 next(tiebreak),
                 node,
                 idx,
+                block,
                 split,
             ),
         )
 
-    consider(root, all_idx)
+    # The one sort per tree: NaN last, ties in row order.
+    consider(
+        root,
+        np.arange(n, dtype=np.int64),
+        np.argsort(numeric, axis=1, kind="stable"),
+    )
     n_leaves = 1
     n_nodes = 1
     max_depth_seen = 0
     while heap:
-        _p, _s, _t, node, idx, split = heapq.heappop(heap)
+        _p, _s, _t, node, idx, block, split = heapq.heappop(heap)
         feature = next(
             f for f in features.features if f.name == split.feature
         )
@@ -234,18 +263,18 @@ def grow_tree(
             continue
         n_leaves += added
         n_nodes += added + 1
-        for branch, sub in parts:
+        for b, (_branch, sub) in enumerate(parts):
+            owner[sub] = b
+        owners = owner[block]
+        for b, (branch, sub) in enumerate(parts):
             child = branch.child
             child.n_samples = int(sub.size)
             if sub.size:
                 child.prediction = float(np.mean(y[sub]))
             max_depth_seen = max(max_depth_seen, child.depth)
-            consider(child, sub)
+            # Filtering keeps each row's sorted order: the child's block.
+            consider(child, sub, block[owners == b].reshape(len(block), sub.size))
 
-    if n_nodes == 1 and mode == "chi2" and len(np.unique(y)) > 1:
-        # Not an error: the significance gate can legitimately refuse
-        # every split; callers see a single-leaf majority model.
-        pass
     return GrownTree(
         root=root, n_leaves=n_leaves, n_nodes=n_nodes, depth=max_depth_seen
     )

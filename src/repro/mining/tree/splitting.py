@@ -11,7 +11,9 @@ Both tests are implemented here as vectorised scans:
 * numeric attributes: every boundary between adjacent distinct sorted
   values is a candidate binary split (capped by quantile thinning);
   the test statistic is computed for all candidates at once from
-  cumulative sums;
+  cumulative sums.  :func:`best_numeric_splits` scans all numeric
+  features of a node as one block of pre-sorted values, so tree growth
+  sorts each feature once per tree rather than once per node;
 * nominal attributes: levels start as their own branches and CHAID-style
   greedy merging joins the most similar pair while the pairwise test is
   insignificant;
@@ -21,7 +23,11 @@ Both tests are implemented here as vectorised scans:
   child at prediction time.
 
 Reported p-values are Bonferroni-adjusted by the number of candidate
-thresholds examined, the classical CHAID multiplicity correction.
+thresholds examined, the classical CHAID multiplicity correction.  They
+come from ``scipy.special.chdtrc`` / ``fdtrc``, the functions that
+``scipy.stats.chi2.sf`` / ``f.sf`` evaluate for a finite statistic
+x >= 0, without the per-call argument handling of the distribution
+objects.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, fdtrc
 
 __all__ = [
     "SplitCandidate",
+    "best_numeric_splits",
     "best_numeric_split_chi2",
     "best_categorical_split_chi2",
     "best_numeric_split_f",
@@ -115,7 +122,7 @@ def chi_square_table(table: np.ndarray) -> tuple[float, float, int]:
     mask = expected > 0
     chi2 = float((((table - expected) ** 2)[mask] / expected[mask]).sum())
     dof = max(1, (np.count_nonzero(row > 0) - 1) * (np.count_nonzero(col > 0) - 1))
-    p = float(stats.chi2.sf(chi2, dof))
+    p = float(chdtrc(dof, chi2))
     return chi2, p, dof
 
 
@@ -135,48 +142,171 @@ def f_statistic(
     group_sums = np.asarray(group_sums, dtype=np.float64)
     group_counts = np.asarray(group_counts, dtype=np.float64)
     k = group_sums.shape[-1]
-    grand_mean_ss = total_sum**2 / max(total_n, 1)
+    df1 = k - 1
+    df2 = max(total_n - k, 1)
+    f = _anova_f(
+        group_sums, group_counts, total_ss, _grand_mean_ss(total_sum, total_n),
+        df1, df2,
+    )
+    return f, df1, df2
+
+
+def _grand_mean_ss(total_sum: float, total_n: int) -> float:
+    """(Σy)²/n in Python floats.  ``**`` on a float is libm ``pow``,
+    which can differ from numpy's ``x*x`` in the last bit, and the
+    golden trees were grown with ``pow``."""
+    return float(total_sum) ** 2 / max(int(total_n), 1)
+
+
+def _anova_f(
+    group_sums: np.ndarray,
+    group_counts: np.ndarray,
+    total_ss: float | np.ndarray,
+    grand_mean_ss: float | np.ndarray,
+    df1: int,
+    df2: int | np.ndarray,
+) -> np.ndarray:
+    """F from per-group sums and counts (groups on the last axis).
+
+    The totals and ``df2`` may be arrays over the leading candidate
+    axis; each candidate then gets exactly the arithmetic of a scalar
+    call.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         between = (
             np.where(group_counts > 0, group_sums**2 / np.maximum(group_counts, _EPS), 0.0)
         ).sum(axis=-1) - grand_mean_ss
     sst = total_ss - grand_mean_ss
     within = np.maximum(sst - between, 0.0)
-    df1 = k - 1
-    df2 = max(total_n - k, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = (between / max(df1, 1)) / np.maximum(within / df2, _EPS)
-    return np.maximum(f, 0.0), df1, df2
+    return np.maximum(f, 0.0)
 
 
 def _bonferroni(p: float, n_candidates: int) -> float:
     return float(min(1.0, p * max(n_candidates, 1)))
 
 
-def _candidate_positions(
-    sorted_values: np.ndarray, min_leaf: int, max_candidates: int
-) -> np.ndarray:
-    """Indices i such that splitting between i and i+1 is admissible.
-
-    Only boundaries between distinct values count, both sides must hold
-    at least ``min_leaf`` rows, and the set is thinned to at most
-    ``max_candidates`` evenly-spaced positions.
-    """
-    n = sorted_values.shape[0]
-    if n < 2 * min_leaf:
-        return np.empty(0, dtype=np.int64)
-    boundaries = np.flatnonzero(np.diff(sorted_values) > 0)
-    lo, hi = min_leaf - 1, n - min_leaf - 1
-    boundaries = boundaries[(boundaries >= lo) & (boundaries <= hi)]
-    if boundaries.size > max_candidates:
-        picks = np.linspace(0, boundaries.size - 1, max_candidates).astype(int)
-        boundaries = boundaries[np.unique(picks)]
-    return boundaries
-
-
 # ---------------------------------------------------------------------------
 # numeric splits
 # ---------------------------------------------------------------------------
+
+def best_numeric_splits(
+    names: list[str],
+    values: np.ndarray,
+    target: np.ndarray,
+    mode: str,
+    min_leaf: int,
+    max_candidates: int = 64,
+    bonferroni: bool = True,
+) -> list[SplitCandidate | None]:
+    """Best binary split of each of F numeric features of one node.
+
+    ``values`` is an F×m block: row f holds feature f's values over the
+    node's m rows in stable ascending order, NaN last (what
+    ``np.argsort(kind="stable")`` gives), and ``target`` holds the
+    target (0/1 for ``mode="chi2"``, interval for ``"f"``) in the same
+    order.  Splits fall between adjacent distinct present values, with
+    at least ``min_leaf`` present rows on each side; a feature with more
+    such boundaries keeps ``max_candidates`` evenly spaced ones.  Each
+    feature gets its highest-statistic candidate (the first on ties), or
+    None when it has no admissible boundary.
+    """
+    n_features, m = values.shape
+    splits: list[SplitCandidate | None] = [None] * n_features
+    n_present = m - np.isnan(values).sum(axis=1)
+    gap = np.arange(m - 1)
+    # NaN - x is NaN and never > 0, so no boundary touches a missing row.
+    admissible = (
+        (np.diff(values, axis=1) > 0)
+        & (gap >= min_leaf - 1)
+        & (gap <= (n_present - min_leaf - 1)[:, None])
+    )
+    for row in np.flatnonzero(admissible.sum(axis=1) > max_candidates):
+        boundaries = np.flatnonzero(admissible[row])
+        picks = np.linspace(0, boundaries.size - 1, max_candidates).astype(int)
+        admissible[row] = False
+        admissible[row, boundaries[np.unique(picks)]] = True
+    rows, positions = np.nonzero(admissible)
+    if rows.size == 0:
+        return splits
+
+    cum = np.cumsum(target, axis=1)
+    totals = cum[np.arange(n_features), np.maximum(n_present - 1, 0)]
+    total_n = n_present[rows]
+    left_n = positions + 1
+    left = cum[rows, positions]
+    if mode == "chi2":
+        right_pos = totals.astype(np.int64)[rows] - left
+        statistic = chi_square_2x2(
+            left, left_n - left, right_pos, (total_n - left_n) - right_pos
+        )
+    else:
+        total_sum = totals.astype(np.float64)
+        total_ss = np.zeros(n_features)
+        grand_mean_ss = np.zeros(n_features)
+        for row in np.unique(rows):
+            n = int(n_present[row])
+            # A 1-D sum over the present prefix: numpy's pairwise
+            # summation depends on the length summed.
+            total_ss[row] = float((target[row, :n] ** 2).sum())
+            grand_mean_ss[row] = _grand_mean_ss(total_sum[row], n)
+        left_n_f = left_n.astype(np.float64)
+        df2 = np.maximum(n_present - 2, 1)
+        statistic = _anova_f(
+            np.stack([left, total_sum[rows] - left], axis=-1),
+            np.stack([left_n_f, total_n - left_n_f], axis=-1),
+            total_ss[rows],
+            grand_mean_ss[rows],
+            1,
+            df2[rows],
+        )
+
+    # Each feature's first maximum, as np.argmax takes it over that
+    # feature's candidates alone.
+    n_candidates = np.bincount(rows, minlength=n_features)
+    start = np.cumsum(n_candidates) - n_candidates
+    padded = np.full((n_features, int(n_candidates.max())), -np.inf)
+    padded[rows, np.arange(rows.size) - start[rows]] = statistic
+    chosen = np.flatnonzero(n_candidates)
+    best = start[chosen] + np.argmax(padded[chosen], axis=1)
+    best_statistic = statistic[best]
+    if mode == "chi2":
+        raw_p = chdtrc(1, best_statistic)
+    else:
+        raw_p = fdtrc(1, df2[chosen], best_statistic)
+    at = positions[best]
+    thresholds = (values[chosen, at] + values[chosen, at + 1]) / 2.0
+    for k, row in enumerate(chosen):
+        count = int(n_candidates[row])
+        p = float(raw_p[k])
+        splits[row] = SplitCandidate(
+            feature=names[row],
+            is_numeric=True,
+            statistic=float(best_statistic[k]),
+            p_value=_bonferroni(p, count) if bonferroni else p,
+            n_candidates=count,
+            threshold=float(thresholds[k]),
+            has_missing_branch=m - int(n_present[row]) >= min_leaf,
+        )
+    return splits
+
+
+def _best_numeric_split(
+    feature_name: str,
+    values: np.ndarray,
+    y: np.ndarray,
+    mode: str,
+    min_leaf: int,
+    max_candidates: int,
+    bonferroni: bool,
+) -> SplitCandidate | None:
+    order = np.argsort(values, kind="stable")
+    return best_numeric_splits(
+        [feature_name], values[order][None, :], y[order][None, :], mode,
+        min_leaf, max_candidates, bonferroni,
+    )[0]
+
 
 def best_numeric_split_chi2(
     feature_name: str,
@@ -187,43 +317,8 @@ def best_numeric_split_chi2(
     bonferroni: bool = True,
 ) -> SplitCandidate | None:
     """Best binary χ² split of a numeric feature on a 0/1 target."""
-    present = ~np.isnan(values)
-    x = values[present]
-    t = y[present]
-    if x.shape[0] < 2 * min_leaf:
-        return None
-    order = np.argsort(x, kind="stable")
-    x_sorted = x[order]
-    t_sorted = t[order]
-    positions = _candidate_positions(x_sorted, min_leaf, max_candidates)
-    if positions.size == 0:
-        return None
-    cum_pos = np.cumsum(t_sorted)
-    total_pos = int(cum_pos[-1])
-    total_n = x_sorted.shape[0]
-    left_n = positions + 1
-    left_pos = cum_pos[positions]
-    a = left_pos                      # left positives
-    b = left_n - left_pos             # left negatives
-    c = total_pos - left_pos          # right positives
-    d = (total_n - left_n) - c        # right negatives
-    chi2 = chi_square_2x2(a, b, c, d)
-    best = int(np.argmax(chi2))
-    statistic = float(chi2[best])
-    raw_p = float(stats.chi2.sf(statistic, 1))
-    p = _bonferroni(raw_p, positions.size) if bonferroni else raw_p
-    threshold = float(
-        (x_sorted[positions[best]] + x_sorted[positions[best] + 1]) / 2.0
-    )
-    n_missing = int((~present).sum())
-    return SplitCandidate(
-        feature=feature_name,
-        is_numeric=True,
-        statistic=statistic,
-        p_value=p,
-        n_candidates=int(positions.size),
-        threshold=threshold,
-        has_missing_branch=n_missing >= min_leaf,
+    return _best_numeric_split(
+        feature_name, values, y, "chi2", min_leaf, max_candidates, bonferroni
     )
 
 
@@ -236,44 +331,8 @@ def best_numeric_split_f(
     bonferroni: bool = True,
 ) -> SplitCandidate | None:
     """Best binary F-test split of a numeric feature on an interval target."""
-    present = ~np.isnan(values)
-    x = values[present]
-    t = y[present]
-    if x.shape[0] < 2 * min_leaf:
-        return None
-    order = np.argsort(x, kind="stable")
-    x_sorted = x[order]
-    t_sorted = t[order]
-    positions = _candidate_positions(x_sorted, min_leaf, max_candidates)
-    if positions.size == 0:
-        return None
-    cum_sum = np.cumsum(t_sorted)
-    total_sum = float(cum_sum[-1])
-    total_ss = float((t_sorted**2).sum())
-    total_n = x_sorted.shape[0]
-    left_n = (positions + 1).astype(np.float64)
-    left_sum = cum_sum[positions]
-    group_sums = np.stack([left_sum, total_sum - left_sum], axis=-1)
-    group_counts = np.stack([left_n, total_n - left_n], axis=-1)
-    f, df1, df2 = f_statistic(
-        group_sums, group_counts, total_ss, total_sum, total_n
-    )
-    best = int(np.argmax(f))
-    statistic = float(f[best])
-    raw_p = float(stats.f.sf(statistic, df1, df2))
-    p = _bonferroni(raw_p, positions.size) if bonferroni else raw_p
-    threshold = float(
-        (x_sorted[positions[best]] + x_sorted[positions[best] + 1]) / 2.0
-    )
-    n_missing = int((~present).sum())
-    return SplitCandidate(
-        feature=feature_name,
-        is_numeric=True,
-        statistic=statistic,
-        p_value=p,
-        n_candidates=int(positions.size),
-        threshold=threshold,
-        has_missing_branch=n_missing >= min_leaf,
+    return _best_numeric_split(
+        feature_name, values, y, "f", min_leaf, max_candidates, bonferroni
     )
 
 
@@ -287,24 +346,26 @@ def _merge_groups_chi2(
     neg: np.ndarray,
     merge_alpha: float,
 ) -> list[list[int]]:
-    """Greedily merge the most similar pair while insignificant."""
+    """Greedily merge the most similar pair while insignificant.
+
+    Each step tests every pair (i < j) at once and merges the first pair,
+    in (i, j) order, with the highest p-value.
+    """
     while len(groups) > 2:
-        best_pair = None
-        best_p = -1.0
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                a = pos[groups[i]].sum()
-                b = neg[groups[i]].sum()
-                c = pos[groups[j]].sum()
-                d = neg[groups[j]].sum()
-                chi2 = float(chi_square_2x2(a, b, c, d))
-                p = float(stats.chi2.sf(chi2, 1))
-                if p > best_p:
-                    best_p = p
-                    best_pair = (i, j)
-        if best_pair is None or best_p < merge_alpha:
+        group_pos = np.array([pos[g].sum() for g in groups])
+        group_neg = np.array([neg[g].sum() for g in groups])
+        first, second = np.triu_indices(len(groups), 1)
+        p = chdtrc(
+            1,
+            chi_square_2x2(
+                group_pos[first], group_neg[first],
+                group_pos[second], group_neg[second],
+            ),
+        )
+        best = int(np.argmax(p))
+        if p[best] < merge_alpha:
             break
-        i, j = best_pair
+        i, j = int(first[best]), int(second[best])
         groups[i] = groups[i] + groups[j]
         del groups[j]
     return groups
@@ -370,30 +431,34 @@ def _merge_groups_f(
     counts: np.ndarray,
     merge_alpha: float,
 ) -> list[list[int]]:
-    """Greedy merge of level groups with the least-significant mean gap."""
+    """Greedy merge of level groups with the least-significant mean gap.
+
+    Each step tests every pair (i < j) at once and merges the first pair,
+    in (i, j) order, with the highest p-value.
+    """
     while len(groups) > 2:
-        best_pair = None
-        best_p = -1.0
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                gi, gj = groups[i], groups[j]
-                n = counts[gi].sum() + counts[gj].sum()
-                s = sums[gi].sum() + sums[gj].sum()
-                ss = sqsums[gi].sum() + sqsums[gj].sum()
-                f, df1, df2 = f_statistic(
-                    np.array([sums[gi].sum(), sums[gj].sum()]),
-                    np.array([counts[gi].sum(), counts[gj].sum()]),
-                    float(ss),
-                    float(s),
-                    int(n),
-                )
-                p = float(stats.f.sf(float(f), df1, df2))
-                if p > best_p:
-                    best_p = p
-                    best_pair = (i, j)
-        if best_pair is None or best_p < merge_alpha:
+        # Per-group sums in list order: merging groups is not exact in
+        # floating point, so they are recomputed rather than added up.
+        group_sums = np.array([sums[g].sum() for g in groups])
+        group_sqsums = np.array([sqsums[g].sum() for g in groups])
+        group_counts = np.array([counts[g].sum() for g in groups])
+        first, second = np.triu_indices(len(groups), 1)
+        total_n = (group_counts[first] + group_counts[second]).astype(np.int64)
+        total_sum = group_sums[first] + group_sums[second]
+        df2 = np.maximum(total_n - 2, 1)
+        f = _anova_f(
+            np.stack([group_sums[first], group_sums[second]], axis=-1),
+            np.stack([group_counts[first], group_counts[second]], axis=-1),
+            group_sqsums[first] + group_sqsums[second],
+            np.array([_grand_mean_ss(s, n) for s, n in zip(total_sum, total_n)]),
+            1,
+            df2,
+        )
+        p = fdtrc(1, df2, f)
+        best = int(np.argmax(p))
+        if p[best] < merge_alpha:
             break
-        i, j = best_pair
+        i, j = int(first[best]), int(second[best])
         groups[i] = groups[i] + groups[j]
         del groups[j]
     return groups
@@ -444,7 +509,7 @@ def best_categorical_split_f(
         int(counts.sum()),
     )
     statistic = float(f)
-    raw_p = float(stats.f.sf(statistic, df1, df2))
+    raw_p = float(fdtrc(df1, df2, statistic))
     n_candidates = max(1, observed.size - 1)
     p = _bonferroni(raw_p, n_candidates) if bonferroni else raw_p
     n_missing = int((~present).sum())

@@ -173,3 +173,95 @@ class TestCategoricalFSplit:
         split = best_categorical_split_f("c", codes, 2, y, min_leaf=30)
         assert split is not None
         assert split.has_missing_branch
+
+
+def _two_by_two(x, y, threshold):
+    """Rows: x <= threshold, x > threshold (missing x in neither);
+    columns: positives, negatives."""
+    left = x <= threshold
+    right = x > threshold
+    return np.array(
+        [
+            [y[left].sum(), (1 - y[left]).sum()],
+            [y[right].sum(), (1 - y[right]).sum()],
+        ]
+    )
+
+
+def _signal_data(n, n_positive, seed):
+    """A feature that ranks positives higher, with exactly
+    ``n_positive`` positives and some missing values."""
+    gen = np.random.default_rng(seed)
+    y = np.zeros(n, dtype=np.int64)
+    y[gen.choice(n, n_positive, replace=False)] = 1
+    x = gen.normal(0, 1, n) + 1.5 * y
+    x[gen.random(n) < 0.02] = np.nan
+    return x, y
+
+
+class TestSplitPValueOracles:
+    """Split p-values against scipy's tests of the chosen partition."""
+
+    @pytest.mark.parametrize(
+        "n, n_positive",
+        [(600, 240), (16_750, 174)],  # the second is the paper's CP-64
+        ids=["balanced", "cp64"],
+    )
+    def test_numeric_chi2(self, n, n_positive):
+        x, y = _signal_data(n, n_positive, seed=n)
+        raw = best_numeric_split_chi2("x", x, y, 25, bonferroni=False)
+        table = _two_by_two(x, y, raw.threshold)
+        assert table[:, 0].sum() == n_positive - y[np.isnan(x)].sum()
+        expected = stats.chi2_contingency(table, correction=False)
+        assert raw.statistic == pytest.approx(expected.statistic, rel=1e-9)
+        assert raw.p_value == pytest.approx(expected.pvalue, rel=1e-9)
+        adjusted = best_numeric_split_chi2("x", x, y, 25, bonferroni=True)
+        assert adjusted.n_candidates == raw.n_candidates == 64
+        assert adjusted.p_value == pytest.approx(
+            min(1.0, expected.pvalue * raw.n_candidates), rel=1e-9
+        )
+
+    def test_bonferroni_caps_at_one(self):
+        x = np.arange(400.0)
+        y = np.arange(400) % 2  # every split is nearly balanced
+        raw = best_numeric_split_chi2("x", x, y, 20, bonferroni=False)
+        adjusted = best_numeric_split_chi2("x", x, y, 20, bonferroni=True)
+        assert raw.p_value * raw.n_candidates > 1.0
+        assert adjusted.p_value == 1.0
+
+    def test_numeric_f(self, rng):
+        x = rng.uniform(0, 1, 500)
+        x[:10] = np.nan
+        y = np.where(x > 0.4, 1.0, 0.0) + rng.normal(0, 1.5, 500)
+        split = best_numeric_split_f("x", x, y, 20, bonferroni=False)
+        expected = stats.f_oneway(
+            y[x <= split.threshold], y[x > split.threshold]
+        )
+        assert split.statistic == pytest.approx(expected.statistic, rel=1e-9)
+        assert split.p_value == pytest.approx(expected.pvalue, rel=1e-9)
+
+    def test_nominal_chi2(self, rng):
+        codes = rng.integers(0, 4, 900)
+        codes[:30] = -1
+        y = (rng.random(900) < np.array([0.2, 0.25, 0.5, 0.2])[codes]).astype(int)
+        split = best_categorical_split_chi2(
+            "c", codes, 4, y, 30, bonferroni=False
+        )
+        table = np.array(
+            [
+                [y[np.isin(codes, g)].sum(), (1 - y[np.isin(codes, g)]).sum()]
+                for g in split.groups
+            ]
+        )
+        assert table.sum() == 870 and len(split.groups) >= 2
+        expected = stats.chi2_contingency(table, correction=False)
+        assert split.statistic == pytest.approx(expected.statistic, rel=1e-9)
+        assert split.p_value == pytest.approx(expected.pvalue, rel=1e-9)
+
+    def test_nominal_f(self, rng):
+        codes = rng.integers(0, 4, 800)
+        y = np.array([0.0, 0.1, 1.0, 1.1])[codes] + rng.normal(0, 1, 800)
+        split = best_categorical_split_f("c", codes, 4, y, 30, bonferroni=False)
+        expected = stats.f_oneway(*(y[np.isin(codes, g)] for g in split.groups))
+        assert split.statistic == pytest.approx(expected.statistic, rel=1e-9)
+        assert split.p_value == pytest.approx(expected.pvalue, rel=1e-9)

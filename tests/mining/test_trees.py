@@ -5,7 +5,7 @@ import pytest
 
 from repro.datatable import CategoricalColumn, DataTable, NumericColumn
 from repro.evaluation import BinaryConfusion, accuracy, r_squared
-from repro.exceptions import NotFittedError
+from repro.exceptions import ConfigurationError, NotFittedError
 from repro.mining import (
     DecisionTreeClassifier,
     RegressionTree,
@@ -26,6 +26,14 @@ class TestTreeConfig:
             TreeConfig(min_leaf=10, min_split=15)
         with pytest.raises(ValueError):
             TreeConfig(max_leaves=1)
+
+    @pytest.mark.parametrize("max_candidates", [0, -1])
+    def test_max_candidates_must_be_positive(self, max_candidates):
+        # 0 used to disable every numeric split silently, and -1 failed
+        # mid-growth inside numpy.
+        with pytest.raises(ConfigurationError, match="max_candidates"):
+            TreeConfig(max_candidates=max_candidates)
+        assert TreeConfig(max_candidates=1).max_candidates == 1
 
 
 class TestDecisionTree:
