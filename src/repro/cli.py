@@ -171,7 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=5.0,
-        help="how long an open micro-batch waits for more requests",
+        help=(
+            "cap on how long a micro-batch waits for more requests "
+            "(a cap, not a delay: a lone request is scored at once)"
+        ),
     )
     serve.add_argument(
         "--cache-size",

@@ -7,11 +7,14 @@ request/response service can use:
 * **validation** — every request row is checked against the scorer's
   expected input schema (missing columns, numbers where labels belong,
   and vice versa) before it gets near the model;
-* **micro-batching** — concurrent single-row requests queue into a
-  worker that accumulates up to ``max_batch`` rows or ``max_wait_ms``
-  milliseconds and scores the lot as *one* DataTable pass, amortising
-  per-call overhead exactly the way the study amortises per-threshold
-  work;
+* **micro-batching** — concurrent requests' rows queue into a worker
+  that scores them as *one* DataTable pass, amortising per-call
+  overhead exactly the way the study amortises per-threshold work.
+  The worker clocks itself: it takes every row already queued (up to
+  ``max_batch``) and waits for more only while the batch holds fewer
+  callers than the previous pass did.  A lone request is scored at
+  once; ``max_wait_ms`` caps the wait, it is not a delay every request
+  pays;
 * **LRU result caching** — road segments re-score constantly with
   unchanged attributes, so results are cached by canonicalised row.
 
@@ -105,23 +108,28 @@ class LRUResultCache:
 class _Pending:
     """One queued row and the event its caller blocks on.
 
-    ``trace_context`` is the submitting request's span context (None
-    when nobody is tracing): the micro-batch worker thread runs in no
-    request's context, so the link from a request to the batch that
-    scored its row must travel with the row.  ``enqueued_at`` feeds the
-    batch span's queue-wait attribute; ``dequeued_at`` is stamped by
-    the worker when the batch starts scoring, so the waiting caller can
-    report its own queue wait after :meth:`wait` returns (the event set
-    orders the write before the read).
+    ``caller`` is a token shared by every row of one
+    :meth:`ScoringEngine.score_one` / :meth:`ScoringEngine.score_many`
+    call; the worker counts distinct callers, not rows, when it decides
+    whether to wait for more.  ``trace_context`` is the submitting
+    request's span context (None when nobody is tracing): the
+    micro-batch worker thread runs in no request's context, so the link
+    from a request to the batch that scored its row must travel with
+    the row.  ``enqueued_at`` feeds the batch span's queue-wait
+    attribute; ``dequeued_at`` is stamped by the worker when the batch
+    starts scoring, so the waiting caller can report its own queue wait
+    after :meth:`wait` returns (the event set orders the write before
+    the read).
     """
 
     __slots__ = (
-        "row", "probability", "error", "enqueued_at", "dequeued_at",
-        "trace_context", "_event",
+        "row", "caller", "probability", "error", "enqueued_at",
+        "dequeued_at", "trace_context", "_event",
     )
 
-    def __init__(self, row: dict, trace_context=None):
+    def __init__(self, row: dict, caller: object, trace_context=None):
         self.row = row
+        self.caller = caller
         self.probability: float | None = None
         self.error: Exception | None = None
         self.enqueued_at = time.monotonic()
@@ -158,11 +166,13 @@ class ScoringEngine:
     name:
         Label used in error messages and stats (the registry name).
     max_batch:
-        Micro-batch size cap; the worker scores as soon as this many
-        rows are queued.
+        Micro-batch size cap in rows; no pass holds more.
     max_wait_ms:
-        How long the worker holds an open batch for more arrivals
-        after the first row — the latency price of batching.
+        Cap on how long the worker holds an open batch for more
+        callers after taking its first row.  It is a cap, not a delay
+        every request pays: the worker waits only while the batch has
+        fewer callers than the previous pass did, so a lone request is
+        scored at once (see :meth:`_run`).
     cache_size:
         LRU capacity in rows; ``0`` disables the result cache.
     bulk_jobs:
@@ -209,7 +219,11 @@ class ScoringEngine:
         self.schema = scorer.input_schema()
         self.input_names = list(self.schema)
         self.cache = LRUResultCache(cache_size)
-        self.batch_sizes: list[int] = []
+        # Micro-batch pass statistics: three exact counters, so the
+        # engine's footprint does not grow with its uptime.
+        self.batches = 0
+        self.batched_rows = 0
+        self.max_batch_observed = 0
         self.n_scored = 0
         self.bulk_batches = 0
         self.bulk_rows = 0
@@ -219,7 +233,6 @@ class ScoringEngine:
         self._bulk_payload: dict | None = None
         self._bulk_lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
-        self._stopping = False
         self._closed = False
         self._worker = threading.Thread(
             target=self._run, name=f"scoring-engine-{name}", daemon=True
@@ -335,12 +348,29 @@ class ScoringEngine:
         return build_request_table(rows, self.schema)
 
     # -- micro-batched scoring ---------------------------------------------
-    def submit(self, row: dict, index: int = 0) -> _Pending:
-        """Queue one validated row for the micro-batch worker."""
+    def submit(
+        self,
+        row: dict,
+        index: int = 0,
+        *,
+        caller: object = None,
+        validate: bool = True,
+    ) -> _Pending:
+        """Queue one row for the micro-batch worker.
+
+        ``caller`` is the token of the request the row belongs to;
+        ``None`` makes the row a caller of its own.  ``validate=False``
+        skips the schema check for a row the caller already validated.
+        """
         if self._closed:
             raise ServingError(f"engine {self.name!r} is closed")
-        self.validate_row(row, index)
-        pending = _Pending(row, trace_context=obs_trace.current_context())
+        if validate:
+            self.validate_row(row, index)
+        pending = _Pending(
+            row,
+            caller if caller is not None else object(),
+            trace_context=obs_trace.current_context(),
+        )
         self._queue.put(pending)
         return pending
 
@@ -367,14 +397,22 @@ class ScoringEngine:
     ) -> list[float]:
         """Score a request's row list through the micro-batcher.
 
-        All rows are queued before any result is awaited, so one
-        request's rows — and any concurrent requests' rows — can share
-        DataTable passes.
+        Every row is validated before any is queued, so an invalid
+        row rejects the whole request without scoring the rows before
+        it.  All rows are queued, as one caller, before any result is
+        awaited, so one request's rows — and any concurrent requests'
+        rows — can share DataTable passes.
         """
         if not isinstance(rows, list) or not rows:
             raise ServingError("rows must be a non-empty list of objects")
         with obs_trace.span("engine.score_many", rows=len(rows)):
-            pending = [self.submit(row, i) for i, row in enumerate(rows)]
+            for i, row in enumerate(rows):
+                self.validate_row(row, i)
+            caller = object()
+            pending = [
+                self.submit(row, i, caller=caller, validate=False)
+                for i, row in enumerate(rows)
+            ]
             results = [p.wait(timeout) for p in pending]
             self._publish_queue_wait(pending)
             return results
@@ -431,36 +469,58 @@ class ScoringEngine:
         return probabilities
 
     def _run(self) -> None:
-        while True:
+        """The micro-batch worker: one self-clocking loop.
+
+        Block for the first row, then take every row already queued,
+        up to ``max_batch``.  Wait for more only while the batch holds
+        fewer distinct callers than the previous pass did, and never
+        longer than ``max_wait_ms`` after taking the first row.  A lone
+        caller is scored at once; N closed-loop callers that shared the
+        last pass are scored as soon as the N-th arrives; when load
+        drops, one pass waits out the cap and the next expects fewer.
+        Greedy dispatch alone (never wait) splits concurrent callers
+        into many small passes and loses throughput under load.
+        """
+        stopping = False
+        expected_callers = 0
+        while not stopping:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 break
             batch = [item]
+            callers = {item.caller}
             deadline = time.monotonic() + self.max_wait_ms / 1000.0
-            while len(batch) < self.max_batch and not self._stopping:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
+            while len(batch) < self.max_batch:
                 try:
-                    item = self._queue.get(timeout=remaining)
+                    item = self._queue.get_nowait()
                 except queue.Empty:
-                    break
+                    remaining = deadline - time.monotonic()
+                    if len(callers) >= expected_callers or remaining <= 0:
+                        break
+                    try:
+                        item = self._queue.get(timeout=remaining)
+                    except queue.Empty:
+                        break
                 if item is _SHUTDOWN:
-                    self._stopping = True
+                    stopping = True
                     break
                 batch.append(item)
-            self.batch_sizes.append(len(batch))
-            self._score_pendings(batch)
-            if self._stopping:
-                break
+                callers.add(item.caller)
+            expected_callers = len(callers)
+            self.batches += 1
+            self.batched_rows += len(batch)
+            self.max_batch_observed = max(self.max_batch_observed, len(batch))
+            self._score_pendings(batch, len(callers))
 
-    def _score_pendings(self, batch: list[_Pending]) -> None:
+    def _score_pendings(self, batch: list[_Pending], n_callers: int) -> None:
         """Score one assembled micro-batch and resolve its waiters.
 
         Runs in the worker thread, which has no request context: the
         batch span goes to the engine's own tracer and parents onto the
         *first* pending's shipped context (the request that opened the
-        batch), carrying the batch size and that request's queue wait.
+        batch), carrying the batch size, that request's queue wait, the
+        number of callers, and the span contexts of the other callers
+        (``links``) so every request in the batch can find it.
         """
         tracer = (
             self._tracer
@@ -471,11 +531,25 @@ class ScoringEngine:
         for p in batch:
             p.dequeued_at = dequeued_at
         queue_wait = dequeued_at - batch[0].enqueued_at
+        links: list[dict] = []
+        if tracer.enabled:
+            others = {
+                p.caller: p.trace_context
+                for p in batch
+                if p.caller is not batch[0].caller
+            }
+            links = [
+                {"trace_id": ctx.trace_id, "span_id": ctx.span_id}
+                for ctx in others.values()
+                if ctx is not None
+            ]
         with obs_trace.use_tracer(tracer), tracer.span(
             "engine.batch",
             parent=batch[0].trace_context,
             batch_size=len(batch),
             queue_wait_ms=round(1000.0 * queue_wait, 3),
+            callers=n_callers,
+            links=links,
         ):
             try:
                 probabilities = self.score_rows(
@@ -509,13 +583,13 @@ class ScoringEngine:
 
     def stats(self) -> dict:
         """Counters for ``GET /metrics``: requests, batches, cache."""
-        sizes = self.batch_sizes
+        batches = self.batches
         return {
             "rows_scored": self.n_scored,
-            "batches": len(sizes),
-            "max_batch_observed": max(sizes) if sizes else 0,
+            "batches": batches,
+            "max_batch_observed": self.max_batch_observed,
             "mean_batch_size": (
-                sum(sizes) / len(sizes) if sizes else float("nan")
+                self.batched_rows / batches if batches else float("nan")
             ),
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,

@@ -20,7 +20,9 @@ behind a :class:`http.server.ThreadingHTTPServer`:
 
 One handler thread per connection (ThreadingHTTPServer) feeds the
 engines' micro-batch queues, which is where the concurrency pays off:
-N in-flight requests become ~N/max_batch model passes.
+N in-flight requests become ~N/max_batch model passes.  A lone request
+is scored at once; ``max_wait_ms`` only caps how long a pass waits for
+callers it expects, it is not a delay every request pays.
 
 Observability: every request runs under an ``http.request`` span of
 the service's tracer (handler thread → engine queue → bulk shard
@@ -137,7 +139,9 @@ class ScoringService:
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (tests).
     max_batch / max_wait_ms / cache_size:
-        Engine tuning, applied to every model's engine.
+        Engine tuning, applied to every model's engine: the rows cap
+        per pass, the cap on a pass's wait for more callers, and the
+        LRU capacity (see :class:`~repro.serving.engine.ScoringEngine`).
     bulk_jobs / bulk_threshold:
         Process-sharded bulk scoring for ``/v1/score/batch``: batches
         of at least ``bulk_threshold`` rows shard across ``bulk_jobs``
@@ -504,6 +508,18 @@ class ScoringService:
             def log_message(self, *args) -> None:  # quiet by default
                 pass
 
+            def handle_one_request(self) -> None:
+                # _dispatch handles resets inside a request.  One that
+                # escapes to here came while reading the next request
+                # line or headers: a keep-alive client hung up between
+                # requests.  That is the end of the connection, not a
+                # request, so nothing is counted and socketserver's
+                # handle_error never prints a traceback for it.
+                try:
+                    super().handle_one_request()
+                except (BrokenPipeError, ConnectionResetError):
+                    self.close_connection = True
+
             def _respond(
                 self,
                 status: int,
@@ -624,11 +640,14 @@ class ScoringService:
                     status, payload, error_type = self._handle(
                         method, path, query
                     )
-                    if request_span is not None and error_type is not None:
-                        request_span.status = "error"
-                        request_span.error_type = error_type
+                    queue_wait = last_queue_wait_ms.get()
+                    if request_span is not None:
+                        if queue_wait is not None:
+                            request_span.attrs["queue_wait_ms"] = queue_wait
+                        if error_type is not None:
+                            request_span.status = "error"
+                            request_span.error_type = error_type
                 elapsed = time.perf_counter() - start
-                queue_wait = last_queue_wait_ms.get()
                 last_queue_wait_ms.reset(queue_wait_token)
                 service.metrics.observe(
                     endpoint,

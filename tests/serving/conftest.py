@@ -8,6 +8,9 @@ copy into their own ``tmp_path`` instead of touching this one.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.core.deployment import CrashPronenessScorer
@@ -39,3 +42,61 @@ def segment_rows(small_dataset, serving_scorer) -> list[dict]:
         {name: row[name] for name in expected}
         for row in (table.row(i) for i in range(60))
     ]
+
+
+class GatedScorer:
+    """A scorer double whose passes block until ``gate`` is set.
+
+    It delegates everything to the wrapped scorer; ``score`` first sets
+    ``in_pass`` and waits on ``gate``, then records the pass's row
+    count in ``passes``.  Holding the engine's worker inside a pass
+    lets a test queue requests behind it deterministically, instead of
+    relying on timing.
+    """
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.gate = threading.Event()
+        self.in_pass = threading.Event()
+        self.passes: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(self.scorer, name)
+
+    def score(self, table):
+        self.in_pass.set()
+        if not self.gate.wait(30.0):
+            raise AssertionError("gate was never opened")
+        self.passes.append(table.n_rows)
+        return self.scorer.score(table)
+
+
+@pytest.fixture()
+def gate_engine():
+    """Install a :class:`GatedScorer` on an engine; returns the gate.
+
+    Every installed gate is opened at teardown, so a failing test never
+    leaves an engine worker blocked.
+    """
+    installed: list[GatedScorer] = []
+
+    def install(engine) -> GatedScorer:
+        gated = GatedScorer(engine.scorer)
+        engine.scorer = gated
+        installed.append(gated)
+        return gated
+
+    yield install
+    for gated in installed:
+        gated.gate.set()
+
+
+def wait_for_queued(engine, n: int, timeout: float = 10.0) -> None:
+    """Block until ``n`` rows sit in the engine's micro-batch queue."""
+    deadline = time.monotonic() + timeout
+    while engine._queue.qsize() < n:
+        if time.monotonic() > deadline:
+            raise AssertionError(
+                f"expected {n} queued rows, have {engine._queue.qsize()}"
+            )
+        time.sleep(0.005)

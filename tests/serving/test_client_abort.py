@@ -11,11 +11,16 @@ response is now flushed inside ``_respond`` and
 The deterministic client death: close the socket with ``SO_LINGER``
 (timeout 0), which sends an immediate RST instead of a graceful FIN —
 the server's next write/flush on that connection fails.
+
+A reset *between* requests on a keep-alive connection is not a request
+at all: it must end the connection quietly, without socketserver's
+``handle_error`` traceback and without touching any metric.
 """
 
 import json
 import socket
 import struct
+import threading
 import time
 import urllib.request
 
@@ -43,13 +48,14 @@ def _wait_for(predicate, timeout=5.0):
 
 class TestClientAbortMidResponse:
     def test_batch_disconnect_counts_client_abort(
-        self, model_dir, segment_rows
+        self, model_dir, segment_rows, gate_engine
     ):
-        # A long micro-batch wait stalls the lone request server-side,
+        # A gated scoring pass stalls the lone request server-side,
         # giving the client a deterministic window to die in.
         with ScoringService(
-            model_dir, port=0, max_wait_ms=400.0, cache_size=0
+            model_dir, port=0, cache_size=0
         ).start() as service:
+            gated = gate_engine(service.engine("cp8"))
             body = json.dumps({"rows": segment_rows[:8]}).encode()
             with socket.create_connection(
                 ("127.0.0.1", service.port), timeout=10
@@ -63,8 +69,10 @@ class TestClientAbortMidResponse:
                 )
                 # Let the request reach the engine, then die with RST
                 # before the response is written.
-                time.sleep(0.1)
+                assert gated.in_pass.wait(10.0)
                 _rst_close(sock)
+            time.sleep(0.1)
+            gated.gate.set()
 
             # The handler hits the dead socket at flush time and must
             # record a typed client_abort — not crash, not lose the
@@ -119,3 +127,45 @@ class TestClientAbortMidResponse:
                 .get("client_abort", 0)
                 == 1
             ), service.metrics.summary()
+
+
+class TestResetBetweenRequests:
+    def test_keepalive_reset_after_a_response_is_quiet(self, model_dir):
+        with ScoringService(model_dir, port=0).start() as service:
+            server = service._server
+            errors: list[object] = []
+            finished = threading.Event()
+            server.handle_error = lambda request, address: errors.append(
+                address
+            )
+            shutdown_request = server.shutdown_request
+
+            def shutdown_and_flag(request) -> None:
+                shutdown_request(request)
+                finished.set()
+
+            server.shutdown_request = shutdown_and_flag
+            with socket.create_connection(
+                ("127.0.0.1", service.port), timeout=10
+            ) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                reply = sock.makefile("rb")
+                status = reply.readline()
+                length = 0
+                while (line := reply.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.decode().partition(":")
+                    if name.lower() == "content-length":
+                        length = int(value)
+                assert b" 200 " in status
+                assert json.loads(reply.read(length))["status"] == "ok"
+                reply.close()
+                # The response is complete; the server is now reading
+                # the next request line when the reset arrives.
+                _rst_close(sock)
+
+            assert finished.wait(10.0)
+            assert errors == []
+            summary = service.metrics.summary()
+            assert summary["GET /healthz"]["count"] == 1
+            assert summary["GET /healthz"]["errors"] == 0
+            assert set(summary) == {"GET /healthz"}

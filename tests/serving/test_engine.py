@@ -1,11 +1,15 @@
 """Tests for the validating / micro-batching / caching scoring engine."""
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.exceptions import ServingError
 from repro.serving import LRUResultCache, ScoringEngine
+from repro.serving.engine import last_queue_wait_ms
+from tests.serving.conftest import wait_for_queued
 
 
 @pytest.fixture()
@@ -84,27 +88,43 @@ class TestScoring:
         assert all(0.0 <= p <= 1.0 for p in engine.score_rows(segment_rows))
 
 
+def _start(target, *args) -> threading.Thread:
+    thread = threading.Thread(target=target, args=args)
+    thread.start()
+    return thread
+
+
+def _join(threads: list[threading.Thread]) -> None:
+    for thread in threads:
+        thread.join(30.0)
+        assert not thread.is_alive()
+
+
 class TestMicroBatching:
-    def test_concurrent_requests_coalesce(self, serving_scorer, segment_rows):
+    def test_concurrent_requests_coalesce(
+        self, serving_scorer, segment_rows, gate_engine
+    ):
         engine = ScoringEngine(
             serving_scorer, name="cp8", max_batch=16, max_wait_ms=100.0
         )
+        gated = gate_engine(engine)
         try:
             results: dict[int, float] = {}
 
             def call(i: int) -> None:
                 results[i] = engine.score_one(segment_rows[i])
 
-            threads = [
-                threading.Thread(target=call, args=(i,)) for i in range(24)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            # Hold the worker inside the first caller's pass so the
+            # other 23 queue behind it, then let them all through.
+            threads = [_start(call, 0)]
+            assert gated.in_pass.wait(10.0)
+            threads += [_start(call, i) for i in range(1, 24)]
+            wait_for_queued(engine, 23)
+            gated.gate.set()
+            _join(threads)
             assert len(results) == 24
-            assert max(engine.batch_sizes) > 1
-            assert sum(engine.batch_sizes) == 24
+            assert engine.max_batch_observed > 1
+            assert engine.batched_rows == 24
         finally:
             engine.close()
 
@@ -114,7 +134,7 @@ class TestMicroBatching:
         )
         try:
             engine.score_many(segment_rows[:12])
-            assert max(engine.batch_sizes) <= 4
+            assert engine.max_batch_observed <= 4
         finally:
             engine.close()
 
@@ -129,6 +149,126 @@ class TestMicroBatching:
             ScoringEngine(serving_scorer, max_batch=0)
         with pytest.raises(ServingError, match="max_wait_ms"):
             ScoringEngine(serving_scorer, max_wait_ms=-1)
+
+
+class TestAdaptiveBatching:
+    """``max_wait_ms`` is a cap: the worker waits only for callers it
+    expects, i.e. while a batch has fewer callers than the last pass."""
+
+    def test_lone_request_is_scored_at_once(
+        self, serving_scorer, segment_rows
+    ):
+        engine = ScoringEngine(
+            serving_scorer, name="cp8", max_wait_ms=10_000.0
+        )
+        try:
+            start = time.monotonic()
+            engine.score_one(segment_rows[0])
+            assert time.monotonic() - start < 2.0
+            assert last_queue_wait_ms.get() < 1000.0
+        finally:
+            engine.close()
+
+    def test_one_request_rows_count_as_one_caller(
+        self, serving_scorer, segment_rows
+    ):
+        engine = ScoringEngine(
+            serving_scorer, name="cp8", max_wait_ms=10_000.0
+        )
+        try:
+            start = time.monotonic()
+            engine.score_many(segment_rows[:16])
+            assert time.monotonic() - start < 2.0
+            # The 16 rows were one caller, so a lone request after
+            # them is still not held for more.
+            start = time.monotonic()
+            engine.score_one(segment_rows[16])
+            assert time.monotonic() - start < 2.0
+            assert last_queue_wait_ms.get() < 1000.0
+        finally:
+            engine.close()
+
+    def test_batch_closes_when_the_last_passes_callers_are_in(
+        self, serving_scorer, segment_rows, gate_engine
+    ):
+        engine = ScoringEngine(
+            serving_scorer,
+            name="cp8",
+            max_batch=32,
+            max_wait_ms=10_000.0,
+            cache_size=0,
+        )
+        gated = gate_engine(engine)
+        try:
+            threads = [_start(engine.score_one, segment_rows[0])]
+            assert gated.in_pass.wait(10.0)
+            threads += [
+                _start(engine.score_one, segment_rows[i]) for i in (1, 2, 3)
+            ]
+            wait_for_queued(engine, 3)
+            gated.gate.set()
+            _join(threads)
+            # The three callers queued behind the held pass share the
+            # next one.
+            assert gated.passes == [1, 3]
+
+            # Three callers ~50 ms apart: the pass waits for the third
+            # (the last pass had three) and closes when it arrives,
+            # long before the 10 s cap.
+            start = time.monotonic()
+            threads = []
+            for i in (4, 5, 6):
+                threads.append(_start(engine.score_one, segment_rows[i]))
+                time.sleep(0.05)
+            _join(threads)
+            assert time.monotonic() - start < 2.0
+            assert gated.passes == [1, 3, 3]
+            assert engine.stats()["batches"] == 3
+        finally:
+            engine.close()
+
+
+    def test_mixed_callers_under_preemption_get_their_own_rows(
+        self, serving_scorer, segment_rows
+    ):
+        """More callers than cores, with a short switch interval: every
+        caller gets exactly its rows' offline scores, and the pass
+        counters lose no update."""
+        expected = ScoringEngine(serving_scorer, cache_size=0)
+        try:
+            offline = expected.score_rows(segment_rows)
+        finally:
+            expected.close()
+        engine = ScoringEngine(
+            serving_scorer, name="cp8", max_wait_ms=2.0, cache_size=0
+        )
+        mismatches: list[tuple[int, int]] = []
+        submitted = [0] * 8
+
+        def caller(worker: int) -> None:
+            for step in range(25):
+                start = (7 * worker + 3 * step) % 55
+                if step % 2:
+                    got = engine.score_many(segment_rows[start : start + 5])
+                    want = offline[start : start + 5]
+                else:
+                    got = [engine.score_one(segment_rows[start])]
+                    want = [offline[start]]
+                submitted[worker] += len(want)
+                if got != want:
+                    mismatches.append((worker, step))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            _join([_start(caller, w) for w in range(8)])
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert mismatches == []
+        assert engine.batched_rows == sum(submitted) == 8 * (13 + 12 * 5)
+        assert engine.n_scored == engine.batched_rows
+        assert engine.max_batch_observed <= engine.max_batch
 
 
 class TestResultCache:
@@ -228,3 +368,33 @@ class TestStats:
         assert stats["batches"] >= 1
         assert stats["cache_misses"] == 6
         assert stats["max_batch_observed"] >= 1
+        # Pass statistics are exact counters.
+        assert engine.batched_rows == 6
+        assert stats["batches"] == engine.batches
+        assert stats["mean_batch_size"] == 6 / engine.batches
+        assert stats["max_batch_observed"] == engine.max_batch_observed
+
+    def test_stats_storage_does_not_grow_with_passes(
+        self, serving_scorer, segment_rows
+    ):
+        """No engine attribute grows with the number of passes: a
+        long-running server keeps counters, not a list per pass."""
+        engine = ScoringEngine(serving_scorer, name="cp8", cache_size=0)
+
+        def sizes() -> dict[str, int]:
+            return {
+                name: len(value)
+                for name, value in vars(engine).items()
+                if isinstance(value, (list, dict, set, tuple))
+            }
+
+        try:
+            engine.score_one(segment_rows[0])
+            before = sizes()
+            for i in range(200):
+                engine.score_one(segment_rows[i % len(segment_rows)])
+            assert engine.batches == 201
+            assert sizes() == before
+            assert engine._queue.qsize() == 0
+        finally:
+            engine.close()

@@ -17,6 +17,7 @@ from repro.cli import main
 from repro.datatable import write_csv
 from repro.exceptions import ServingError
 from repro.serving import ScoringService
+from tests.serving.conftest import wait_for_queued
 
 
 @pytest.fixture()
@@ -172,6 +173,22 @@ class TestErrors:
         with pytest.raises(ServingError, match="max_body_bytes"):
             ScoringService(model_dir, max_body_bytes=-1)
 
+    def test_invalid_batch_row_queues_nothing(self, service, segment_rows):
+        """A batch with one bad row is rejected before any of its rows
+        is queued: no pass runs for the valid rows ahead of it."""
+        rows = [dict(row) for row in segment_rows[:10]]
+        del rows[-1]["skid_resistance_f60"]
+        engine = service.engine("cp8")
+        before = engine.stats()
+        code, body = _post_error(service, "/v1/score/batch", {"rows": rows})
+        assert code == 400
+        assert "row 9 " in body["error"]
+        # close() drains the queue, so anything queued has been scored.
+        engine.close()
+        after = engine.stats()
+        assert after["rows_scored"] == before["rows_scored"]
+        assert after["batches"] == before["batches"]
+
     def test_errors_counted_in_metrics(self, service):
         _post_error(service, "/v1/score", {})
         assert service.metrics.error_count("POST /v1/score") == 1
@@ -214,11 +231,15 @@ class TestEndToEndParity:
                 )
                 assert body["probability"] == by_segment[row["segment_id"]]
 
-    def test_concurrent_load_is_micro_batched(self, model_dir, segment_rows):
-        """Acceptance: recorded batch sizes exceed 1 under concurrency."""
+    def test_concurrent_load_is_micro_batched(
+        self, model_dir, segment_rows, gate_engine
+    ):
+        """Acceptance: concurrent requests share model passes."""
         with ScoringService(
             model_dir, port=0, max_batch=16, max_wait_ms=100.0
         ).start() as service:
+            engine = service.engine("cp8")
+            gated = gate_engine(engine)
             results: list[dict] = []
             errors: list[Exception] = []
 
@@ -234,18 +255,26 @@ class TestEndToEndParity:
                 except Exception as exc:  # pragma: no cover
                     errors.append(exc)
 
-            threads = [
-                threading.Thread(target=call, args=(i,)) for i in range(12)
+            # Hold the worker inside the first request's pass so the
+            # other eleven queue behind it.
+            threads = [threading.Thread(target=call, args=(0,))]
+            threads[0].start()
+            assert gated.in_pass.wait(10.0)
+            threads += [
+                threading.Thread(target=call, args=(i,)) for i in range(1, 12)
             ]
-            for t in threads:
+            for t in threads[1:]:
                 t.start()
+            wait_for_queued(engine, 33)
+            gated.gate.set()
             for t in threads:
-                t.join()
+                t.join(30.0)
+                assert not t.is_alive()
             assert not errors
             assert len(results) == 12
-            engine = service.engine("cp8")
-            assert max(engine.batch_sizes) > 1
-            assert sum(engine.batch_sizes) == 36
+            # One pass held more rows than one request carries.
+            assert engine.max_batch_observed > 3
+            assert engine.batched_rows == 36
 
 
 class TestShardedBatchThroughService:

@@ -10,6 +10,7 @@ the post-``timed()`` error accounting.
 
 import http.client
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -19,6 +20,7 @@ import pytest
 from repro.obs import Tracer, validate_exposition
 from repro.obs.prometheus import CONTENT_TYPE
 from repro.serving import ScoringService
+from tests.serving.conftest import wait_for_queued
 
 
 def _get(service, path):
@@ -140,6 +142,73 @@ class TestMicroBatchTrace:
         assert by_id[score_span.parent_id].name == "engine.batch"
 
 
+class TestCoalescedBatchTrace:
+    def test_every_caller_finds_the_batch_and_its_queue_wait(
+        self, model_dir, segment_rows, gate_engine
+    ):
+        tracer = Tracer(max_spans=None)
+        with ScoringService(
+            model_dir, port=0, cache_size=0, tracer=tracer
+        ).start() as service:
+            gated = gate_engine(service.engine("cp8"))
+
+            def call(i: int) -> None:
+                _post(service, "/v1/score", {"row": segment_rows[i]})
+
+            # Hold the worker in the first request's pass; the next
+            # two queue behind it and share one two-caller batch.
+            threads = [threading.Thread(target=call, args=(0,))]
+            threads[0].start()
+            assert gated.in_pass.wait(10.0)
+            threads += [
+                threading.Thread(target=call, args=(i,)) for i in (1, 2)
+            ]
+            for t in threads[1:]:
+                t.start()
+            wait_for_queued(service.engine("cp8"), 2)
+            gated.gate.set()
+            for t in threads:
+                t.join(30.0)
+                assert not t.is_alive()
+            # The worker records a batch span after resolving its
+            # callers, so it can trail their responses.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                spans = tracer.finished()
+                if sum(s.name == "engine.batch" for s in spans) == 2:
+                    break
+                time.sleep(0.005)
+        assert gated.passes == [1, 2]
+
+        requests = {
+            s.span_id: s for s in spans if s.name == "http.request"
+        }
+        assert len(requests) == 3
+        # Each request's own span carries its queue wait.
+        for request in requests.values():
+            assert request.attrs["queue_wait_ms"] >= 0.0
+        (shared,) = [
+            s
+            for s in spans
+            if s.name == "engine.batch" and s.attrs["batch_size"] == 2
+        ]
+        assert shared.attrs["callers"] == 2
+        (link,) = shared.attrs["links"]
+        # The batch parents onto one caller and links the other, so
+        # both requests lead to it.
+        assert shared.parent_id in requests
+        assert link["span_id"] in requests
+        assert link["span_id"] != shared.parent_id
+        assert link["trace_id"] == requests[link["span_id"]].trace_id
+        (lone,) = [
+            s
+            for s in spans
+            if s.name == "engine.batch" and s.attrs["batch_size"] == 1
+        ]
+        assert lone.attrs["callers"] == 1
+        assert lone.attrs["links"] == []
+
+
 class TestPrometheusEndpoint:
     def test_exposition_parses_and_carries_traffic(
         self, model_dir, segment_rows
@@ -215,10 +284,29 @@ class TestAccessLog:
         with ScoringService(
             model_dir, port=0, tracer=tracer, access_log=log_path
         ).start() as service:
-            _get(service, "/healthz")
-            _post(service, "/v1/score", {"row": segment_rows[0]})
-            with pytest.raises(urllib.error.HTTPError):
-                _get(service, "/nope")
+            # One keep-alive connection: its handler thread writes a
+            # request's log line before it reads the next request, so
+            # the line order is the request order by construction.
+            connection = http.client.HTTPConnection(
+                service.host, service.port, timeout=30
+            )
+            try:
+                for method, path, payload, status in (
+                    ("GET", "/healthz", None, 200),
+                    ("POST", "/v1/score", {"row": segment_rows[0]}, 200),
+                    ("GET", "/nope", None, 404),
+                ):
+                    connection.request(
+                        method,
+                        path,
+                        body=None if payload is None else json.dumps(payload),
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = connection.getresponse()
+                    response.read()
+                    assert response.status == status
+            finally:
+                connection.close()
 
         lines = [
             json.loads(line)
