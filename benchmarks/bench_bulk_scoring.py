@@ -10,15 +10,11 @@ fitted tree:
 * ``plan default``    — the compiled plan, native C kernel when the
   host can build one (``repro.mining.tree.kernel``);
 * ``scorer.score``    — the end-to-end compiled path (column
-  extraction included), which is what serving and the CLI run;
-* ``sharded pool``    — ``score_table_sharded`` across a process pool
-  (pool spin-up included).
+  extraction included), which is what serving and the CLI run.
 
-Asserted, hardware-independent: all paths are element-for-element
-identical, and the compiled single-core path beats the interpreted
-walk by >= 3x.  Pool speedup is only asserted on multi-core hosts —
-a single core pays pickling for nothing, and the artefact records
-that honestly (cores are printed next to the ratio).
+Asserted: all paths are element-for-element identical, and the
+compiled single-core path beats the interpreted walk by >= 3x, both
+kernel-only and end to end.
 
 Run ``python benchmarks/bench_bulk_scoring.py --smoke`` for the quick
 CI parity check (small dataset, no artefact), or under pytest for the
@@ -34,10 +30,8 @@ from repro.core.deployment import CrashPronenessScorer
 from repro.core.reporting import render_table
 from repro.mining.tree import route_rows
 from repro.mining.tree.kernel import native_kernel_status
-from repro.serving import score_table_sharded
 
 BENCH_THRESHOLD = 8
-SHARD_JOBS = 2
 
 
 def _best_of(fn, rounds):
@@ -84,9 +78,6 @@ def run_bulk_bench(dataset, n_rows, rounds=3, emit_name=None):
     end_to_end_s, end_to_end = _best_of(
         lambda: scorer.score(table), rounds
     )
-    sharded_s, sharded = _best_of(
-        lambda: score_table_sharded(scorer, table, n_jobs=SHARD_JOBS), 1
-    )
 
     # Parity first: a fast wrong answer is not a result.
     for label, (pred, leaf) in (
@@ -96,7 +87,6 @@ def run_bulk_bench(dataset, n_rows, rounds=3, emit_name=None):
         assert np.array_equal(pred, interp_pred), f"{label} pred parity"
         assert np.array_equal(leaf, interp_leaf), f"{label} leaf parity"
     assert np.array_equal(end_to_end, interp_pred), "end-to-end parity"
-    assert np.array_equal(sharded, interp_pred), "sharded parity"
 
     # The acceptance ratio: single-core compiled vs interpreted, on the
     # same pre-extracted feature block.
@@ -120,11 +110,6 @@ def run_bulk_bench(dataset, n_rows, rounds=3, emit_name=None):
             end_to_end_s,
             extract_s + interp_s,
         ),
-        row(
-            f"sharded pool (n_jobs={SHARD_JOBS})",
-            sharded_s,
-            extract_s + interp_s,
-        ),
     ]
     text = render_table(
         ["stage", "wall ms", "rows/s", "speedup"],
@@ -146,8 +131,6 @@ def run_bulk_bench(dataset, n_rows, rounds=3, emit_name=None):
         f"single core): {kernel_speedup:.2f}x"
         f"\nend-to-end speedup (scorer.score vs extract+route_rows): "
         f"{end_to_end_speedup:.2f}x"
-        f"\nsharded-pool note: includes pool spin-up and artefact "
-        f"pickling; on a single-core host this can only break even."
     )
     if emit_name is not None:
         from benchmarks.conftest import emit

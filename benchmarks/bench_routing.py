@@ -1,8 +1,8 @@
 """Route-risk subsystem: graph build, query latency, precompute (the bench).
 
 Trains one CP-8 scorer, lowers the dataset's road network into a
-:class:`~repro.routing.graph.RiskGraph` (batch-scoring every segment
-through the compiled bulk path), then measures the three costs the
+:class:`~repro.routing.graph.RiskGraph` (scoring every segment in one
+compiled-kernel pass), then measures the three costs the
 serving path cares about:
 
 * **graph build** — the one-off per-artefact cost of scoring all

@@ -8,10 +8,11 @@ dynamically* but nothing previously enforced statically:
   from an explicitly seeded ``np.random.Generator``.  Unseeded
   ``default_rng()`` or module-level ``np.random.*`` / stdlib
   ``random.*`` calls would silently break it.
-* **REP002 lock hygiene** — the serving layer synchronises five locks
-  (engine queue/bulk, HTTP engines map, metrics, kernel build).  Locks
-  must be held via ``with`` (exception-safe release), and bodies that
-  hold a lock must not block on I/O, sleeps or subprocesses.
+* **REP002 lock hygiene** — the serving layer synchronises its shared
+  state with locks (engine result cache, HTTP engines map, metrics,
+  kernel build).  Locks must be held via ``with`` (exception-safe
+  release), and bodies that hold a lock must not block on I/O, sleeps
+  or subprocesses.
 * **REP003 numeric safety** — MCPV/Kappa/R² code compares *stored*
   values against exactly-representable integral sentinels (``0.0``,
   ``1.0``), which is allowed; ``==`` / ``!=`` against computed floats

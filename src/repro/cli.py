@@ -9,7 +9,7 @@ Python:
 * ``calibrate`` — re-derive the crash-process calibration;
 * ``train`` — train and save a deployable crash-proneness scorer;
 * ``score`` — score a segment CSV with a saved scorer (table, JSON or
-  CSV output; ``--bulk`` shards the pass across a process pool);
+  CSV output);
 * ``serve`` — serve a directory of scorers over HTTP (``--routes``
   additionally enables the ``/v1/route/*`` route-risk endpoints,
   ``--profile`` the continuous sampling profiler + ``GET
@@ -137,19 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         ".rpdt binary cache",
     )
     score.add_argument(
-        "--bulk",
-        action="store_true",
-        help="shard the scoring pass across a process pool "
-        "(identical output, lower wall clock on big files)",
-    )
-    score.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="bulk workers: 0 = all cores (default), N = pool of N; "
-        "only used with --bulk",
-    )
-    score.add_argument(
         "--trace-out",
         default=None,
         metavar="PATH",
@@ -181,20 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="LRU result cache capacity in rows (0 disables)",
-    )
-    serve.add_argument(
-        "--bulk-jobs",
-        type=int,
-        default=1,
-        help="worker processes for sharded /v1/score/batch requests "
-        "(1 disables sharding, 0 = all cores)",
-    )
-    serve.add_argument(
-        "--bulk-threshold",
-        type=int,
-        default=2048,
-        help="minimum batch rows before a request shards across "
-        "the bulk process pool",
     )
     serve.add_argument(
         "--max-body-bytes",
@@ -300,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pscore.add_argument("model_path", type=Path)
     pscore.add_argument("segments_csv", type=Path)
-    pscore.add_argument("--bulk", action="store_true",
-                        help="profile the process-sharded bulk path")
-    pscore.add_argument("--jobs", type=int, default=0,
-                        help="bulk workers (only with --bulk)")
     _profile_common(pscore)
 
     top = sub.add_parser(
@@ -335,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="network seed (same seed, same network)")
         p.add_argument("--clusters", type=int, default=8,
                        help="spatial hotspot clusters (0 disables)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="process shards for the segment-scoring pass")
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")
 
@@ -616,14 +583,7 @@ def _cmd_score(args) -> int:
     else:
         table = cached_read_csv(args.segments_csv)
     with _cli_tracer(args.trace_out):
-        if args.bulk:
-            from repro.serving.bulk import score_table_sharded
-
-            probabilities = score_table_sharded(
-                scorer, table, n_jobs=args.jobs
-            )
-        else:
-            probabilities = scorer.score(table)
+        probabilities = scorer.score(table)
     ranked_all = scorer.treatment_list(table, probabilities=probabilities)
     ranked = ranked_all[: args.top] if args.top is not None else ranked_all
     if args.out is not None:
@@ -680,13 +640,13 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _route_planner(segments: int, seed: int, clusters: int, n_jobs: int = 1):
+def _route_planner(segments: int, seed: int, clusters: int):
     """A RoutePlanner over a freshly generated synthetic network."""
     from repro.routing import RoutePlanner
 
     config = small_config(n_segments=segments, n_towns=18)
     dataset = QDTMRSyntheticGenerator(config).generate(seed=seed)
-    return RoutePlanner(dataset, n_clusters=clusters, n_jobs=n_jobs)
+    return RoutePlanner(dataset, n_clusters=clusters)
 
 
 def _cmd_serve(args) -> int:
@@ -721,8 +681,6 @@ def _cmd_serve(args) -> int:
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             cache_size=args.cache_size,
-            bulk_jobs=args.bulk_jobs,
-            bulk_threshold=args.bulk_threshold,
             max_body_bytes=args.max_body_bytes,
             tracer=tracer,
             access_log=args.access_log,
@@ -792,13 +750,7 @@ def _cmd_profile(args) -> int:
                 )
             else:  # score
                 scorer = CrashPronenessScorer.load(args.model_path)
-                table = cached_read_csv(args.segments_csv)
-                if args.bulk:
-                    from repro.serving.bulk import score_table_sharded
-
-                    score_table_sharded(scorer, table, n_jobs=args.jobs)
-                else:
-                    scorer.score(table)
+                scorer.score(cached_read_csv(args.segments_csv))
     finally:
         set_default_tracer(previous)
     stats = profiler.stats()
@@ -926,9 +878,7 @@ def _cmd_routes(args) -> int:
     scorer = CrashPronenessScorer.load(args.model_path)
     payload = scorer.to_dict()
     checksum = payload.get("checksum") or payload_checksum(payload)
-    planner = _route_planner(
-        args.segments, args.seed, args.clusters, n_jobs=args.jobs
-    )
+    planner = _route_planner(args.segments, args.seed, args.clusters)
 
     if args.routes_command == "build":
         t0 = time.perf_counter()

@@ -155,10 +155,12 @@ class CrashPronenessScorer:
         input attributes.  Returns the ``top`` highest-probability
         segments (all, if ``top`` is None), ranked descending.
 
-        ``probabilities`` short-circuits the scoring pass with
-        already-computed per-row scores (the CLI's sharded bulk path
-        uses this to rank without re-scoring); they must align with
-        ``segment_table`` row for row.
+        ``probabilities`` are per-row scores the caller already holds
+        from :meth:`score` on the same table; they must align with
+        ``segment_table`` row for row.  ``repro-study score`` passes
+        them because it also sums them into the expected crash-prone
+        kilometres, so one scoring pass serves both the ranking and
+        the total.
         """
         if "segment_id" not in segment_table:
             raise ReproError(

@@ -8,8 +8,8 @@ system C compiler and loaded through :mod:`ctypes`.
 
 The C source is generic — one function that walks any plan — so the
 shared object is compiled a single time and cached under a
-content-addressed file name; every process (including bulk-scoring
-pool workers) just ``dlopen``\\ s the cached artefact.  When no C
+content-addressed file name; every process (including the study's
+sweep pool workers) just ``dlopen``\\ s the cached artefact.  When no C
 compiler is available, the build fails, or ``REPRO_NO_NATIVE_KERNEL``
 is set, :func:`native_kernel` returns ``None`` and callers fall back
 to the pure-numpy block evaluator, so the native path is strictly an

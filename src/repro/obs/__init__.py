@@ -9,7 +9,7 @@ exposition for ``GET /metrics?format=prometheus``, and the structured
 JSON access log behind ``serve --access-log``.
 
 The process-wide default tracer is *disabled*: every instrumentation
-site in the library (`study`, `executor`, `cache`, `engine`, `bulk`,
+site in the library (`study`, `executor`, `cache`, `engine`,
 `kernel`) costs one attribute check until a CLI flag or service
 constructor installs a real tracer.  Tracing is measurement only —
 enabling it never changes model outputs.

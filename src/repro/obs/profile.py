@@ -13,7 +13,7 @@ are the profile; wall-clock attribution follows from sample counts
 push/pop span names keyed by thread id.  Each sample then joins the
 sampled thread id against the registry, so every folded stack also
 carries the sampled thread's active span stack — a profile can be
-filtered to "time under ``engine.score_batch``" and per-span self time
+filtered to "time under ``engine.score_rows``" and per-span self time
 falls out of the sample counts.  When no profiler is running the
 registry is ``None`` and the tracer hook is a single attribute check —
 the same zero-cost-when-disabled pattern the tracer itself uses.

@@ -88,10 +88,6 @@ _ENGINE_COUNTERS = (
      "LRU result-cache hits."),
     ("cache_misses", "repro_engine_cache_misses_total",
      "LRU result-cache misses."),
-    ("bulk_batches", "repro_engine_bulk_batches_total",
-     "Batch requests scored on the sharded bulk path."),
-    ("bulk_rows", "repro_engine_bulk_rows_total",
-     "Rows scored on the sharded bulk path."),
 )
 
 _ENGINE_GAUGES = (

@@ -5,9 +5,8 @@
 * the study dataset (network + segment table) and its spatial k-means
   hotspot clusters (phase-3 geometry, computed once per planner);
 * a small LRU of :class:`~repro.routing.graph.RiskGraph` instances
-  keyed by scorer artefact checksum — segments are batch-scored once
-  per model version through the compiled-kernel bulk path
-  (:func:`~repro.serving.bulk.score_table_sharded`), not per query;
+  keyed by scorer artefact checksum — segments are scored once per
+  model version in one in-process ``scorer.score`` pass, not per query;
 * a :class:`~repro.routing.store.RouteStore` of finished responses,
   content-addressed to the same checksum, so a registry hot-reload
   both misses the store and purges the superseded version's entries;
@@ -32,7 +31,6 @@ from repro.routing import queries
 from repro.routing.graph import RiskGraph
 from repro.routing.queries import DEFAULT_ALPHA, MAX_ALTERNATIVES
 from repro.routing.store import RouteStore
-from repro.serving.bulk import score_table_sharded
 
 __all__ = ["RoutePlanner"]
 
@@ -47,9 +45,6 @@ class RoutePlanner:
     n_clusters / cluster_seed:
         Spatial k-means hotspot geometry; skipped when the dataset has
         fewer crashes than clusters.
-    n_jobs:
-        Process shards for the one-off segment scoring pass (``1`` =
-        in-process, the serving default).
     store_capacity / max_graphs:
         Bounds on the response cache and the per-artefact graph LRU.
     default_alpha:
@@ -61,13 +56,10 @@ class RoutePlanner:
         dataset: RoadCrashDataset,
         n_clusters: int = 8,
         cluster_seed: int = 0,
-        n_jobs: int = 1,
         store_capacity: int = 1024,
         max_graphs: int = 4,
         default_alpha: float = DEFAULT_ALPHA,
     ):
-        if n_jobs < 1:
-            raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
         if max_graphs < 1:
             raise ConfigurationError(
                 f"max_graphs must be >= 1, got {max_graphs}"
@@ -78,7 +70,6 @@ class RoutePlanner:
             )
         self.dataset = dataset
         self.network = dataset.network
-        self.n_jobs = n_jobs
         self.default_alpha = float(default_alpha)
         n_crashes = dataset.crash_instances.n_rows
         self.clusters = (
@@ -140,9 +131,7 @@ class RoutePlanner:
         with obs_span(
             "routing.build", checksum=checksum, segments=table.n_rows
         ):
-            probabilities = score_table_sharded(
-                scorer, table, n_jobs=self.n_jobs
-            )
+            probabilities = scorer.score(table)
             segment_ids = table.numeric("segment_id").astype(int)
             return RiskGraph.build(
                 self.network,

@@ -18,23 +18,15 @@ layer, built entirely on the standard library:
     A ``ThreadingHTTPServer`` exposing ``/healthz``, ``/models``,
     ``/metrics``, ``/v1/score`` and ``/v1/score/batch`` as JSON, with
     per-endpoint request counters, latency histograms
-    (:class:`~repro.serving.metrics.RequestMetrics`, built on the sweep
-    engine's ``StageTimings``) and a request-body size limit.
-:mod:`repro.serving.bulk`
-    Process-sharded bulk scoring: network-wide batch requests shard
-    across the sweep-execution process pool with worker-cached
-    scorers, reassembled in request order.
+    (:class:`~repro.serving.metrics.RequestMetrics`, built on one
+    :class:`~repro.obs.histogram.LatencyHistogram` per endpoint) and a
+    request-body size limit.
 
 The CLI front-ends are ``repro-study serve <model_dir>`` and
-``repro-study score --bulk``; the load benchmarks live in
-``benchmarks/bench_serving.py`` and ``benchmarks/bench_bulk_scoring.py``.
+``repro-study score``; the load benchmarks live in
+``benchmarks/bench_serving.py`` and ``benchmarks/bench_loadtest.py``.
 """
 
-from repro.serving.bulk import (
-    score_rows_sharded,
-    score_table_sharded,
-    shard_bounds,
-)
 from repro.serving.engine import LRUResultCache, ScoringEngine
 from repro.serving.http import ScoringService, TextResponse
 from repro.serving.metrics import RequestMetrics
@@ -48,7 +40,4 @@ __all__ = [
     "RequestMetrics",
     "RegisteredScorer",
     "ScorerRegistry",
-    "score_rows_sharded",
-    "score_table_sharded",
-    "shard_bounds",
 ]

@@ -1,44 +1,16 @@
-"""Process-sharded bulk scoring.
+"""Request rows → a typed DataTable for one scoring pass.
 
-The micro-batcher in :mod:`repro.serving.engine` is tuned for many
-small concurrent requests.  A network-wide re-score is the opposite
-shape: one request, 10⁴–10⁵ rows.  This module shards such row lists
-across the sweep-execution process pool
-(:class:`~repro.parallel.executor.SweepExecutor`), scores each shard
-with a worker-cached scorer, and concatenates the shard outputs in
-submission order — so the result is element-for-element identical to a
-single-process pass, only the wall clock differs.
-
-Worker caching: each task ships the scorer's persisted payload (which
-embeds the compiled scoring plan, see
-:mod:`repro.mining.tree.compile`), and workers memoise the rebuilt
-scorer by payload checksum.  A worker therefore pays the rebuild once
-per model version, not once per shard, and never recompiles the plan
-from the tree.
+The engine scores each micro-batch as one
+:meth:`~repro.core.deployment.CrashPronenessScorer.score` call over a
+:class:`~repro.datatable.DataTable`; :func:`build_request_table` builds
+that table from validated request rows.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.deployment import CrashPronenessScorer, payload_checksum
 from repro.datatable import CategoricalColumn, DataTable, NumericColumn
-from repro.exceptions import ServingError
-from repro.obs.trace import span as obs_span
-from repro.parallel import SweepExecutor, SweepTask
 
-__all__ = [
-    "build_request_table",
-    "shard_bounds",
-    "score_rows_sharded",
-    "score_table_sharded",
-]
-
-#: Workers keep at most this many rebuilt scorers (hot-reloads are
-#: rare; this just bounds memory if a pool outlives many versions).
-_WORKER_CACHE_LIMIT = 8
-
-_worker_scorers: dict[str, CrashPronenessScorer] = {}
+__all__ = ["build_request_table"]
 
 
 def build_request_table(rows: list[dict], schema: dict[str, dict]) -> DataTable:
@@ -54,161 +26,3 @@ def build_request_table(rows: list[dict], schema: dict[str, dict]) -> DataTable:
             # get aligned to the training vocabulary inside the model.
             columns.append(CategoricalColumn(name, values))
     return DataTable(columns)
-
-
-def shard_bounds(n_rows: int, n_shards: int) -> list[tuple[int, int]]:
-    """Contiguous ``[start, stop)`` spans covering ``n_rows`` rows.
-
-    Shard sizes differ by at most one row and empty shards are never
-    emitted, so ``n_shards`` is a cap, not a promise.
-    """
-    if n_rows < 0:
-        raise ServingError(f"n_rows must be >= 0, got {n_rows}")
-    if n_shards < 1:
-        raise ServingError(f"n_shards must be >= 1, got {n_shards}")
-    n_shards = min(n_shards, n_rows) or (1 if n_rows else 0)
-    base, extra = divmod(n_rows, n_shards) if n_shards else (0, 0)
-    bounds = []
-    start = 0
-    for shard in range(n_shards):
-        stop = start + base + (1 if shard < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
-def _worker_scorer(payload: dict) -> CrashPronenessScorer:
-    """Rebuild (or fetch the memoised) scorer for a payload.
-
-    Keyed by the artefact checksum so every shard of every request for
-    the same model version shares one rebuilt scorer per worker
-    process.
-    """
-    key = payload.get("checksum") or payload_checksum(payload)
-    scorer = _worker_scorers.get(key)
-    if scorer is None:
-        scorer = CrashPronenessScorer.from_dict(payload)
-        if len(_worker_scorers) >= _WORKER_CACHE_LIMIT:
-            _worker_scorers.pop(next(iter(_worker_scorers)))
-        _worker_scorers[key] = scorer
-    return scorer
-
-
-def _score_row_shard(payload: dict, rows: list[dict]) -> list[float]:
-    """Worker entry point: score one shard of request rows."""
-    with obs_span("bulk.score_shard", rows=len(rows)):
-        scorer = _worker_scorer(payload)
-        table = build_request_table(rows, scorer.input_schema())
-        return [float(p) for p in scorer.score(table)]
-
-
-def _score_table_shard(payload: dict, shard: DataTable) -> np.ndarray:
-    """Worker entry point: score one shard of a segment table."""
-    with obs_span("bulk.score_shard", rows=shard.n_rows):
-        return _worker_scorer(payload).score(shard)
-
-
-def _run_sharded(
-    executor: SweepExecutor,
-    payload: dict,
-    fn,
-    pieces: list,
-    stage: str,
-) -> list:
-    tasks = [
-        SweepTask(
-            key=f"{stage}/shard-{i}",
-            fn=fn,
-            args=(payload, piece),
-            stage=stage,
-        )
-        for i, piece in enumerate(pieces)
-    ]
-    # SweepExecutor.run returns results in submission order for every
-    # backend, which is what makes sharding invisible to the caller.
-    results = executor.run(tasks, stage=stage)
-    if len(results) != len(tasks):
-        raise ServingError(
-            f"bulk scoring lost shards: submitted {len(tasks)}, "
-            f"got {len(results)} back"
-        )
-    return [r.value for r in results]
-
-
-def score_rows_sharded(
-    payload: dict,
-    rows: list[dict],
-    executor: SweepExecutor,
-    stage: str = "bulk-score",
-) -> list[float]:
-    """Score request rows across the executor's workers.
-
-    ``payload`` is the scorer's :meth:`~repro.core.deployment.
-    CrashPronenessScorer.to_dict` artefact; rows must already be
-    validated against its schema.  Returns one probability per row, in
-    request order, element-for-element identical to an unsharded pass.
-    """
-    if not rows:
-        return []
-    pieces = [
-        rows[start:stop]
-        for start, stop in shard_bounds(len(rows), executor.n_jobs)
-    ]
-    shard_outputs = _run_sharded(
-        executor, payload, _score_row_shard, pieces, stage
-    )
-    merged: list[float] = []
-    for out in shard_outputs:
-        merged.extend(out)
-    if len(merged) != len(rows):
-        raise ServingError(
-            f"bulk scoring returned {len(merged)} probabilities for "
-            f"{len(rows)} rows"
-        )
-    return merged
-
-
-def score_table_sharded(
-    scorer: CrashPronenessScorer,
-    table: DataTable,
-    n_jobs: int | None,
-    executor: SweepExecutor | None = None,
-) -> np.ndarray:
-    """Score a segment table across a process pool (the CLI bulk path).
-
-    With ``n_jobs=1`` (and no executor) this is exactly
-    ``scorer.score(table)``; otherwise the table is cut into contiguous
-    shards, scored in pool workers, and reassembled in order.
-    """
-    own_executor = None
-    if executor is None:
-        if n_jobs == 1 or table.n_rows == 0:
-            return scorer.score(table)
-        executor = own_executor = SweepExecutor(n_jobs=n_jobs)
-    try:
-        if executor.n_jobs == 1:
-            return scorer.score(table)
-        # Zero-copy shard views; the copy happens once, in the pickle
-        # to the worker, not again here.
-        pieces = [
-            table.slice(start, stop)
-            for start, stop in shard_bounds(table.n_rows, executor.n_jobs)
-        ]
-        shard_outputs = _run_sharded(
-            executor, scorer.to_dict(), _score_table_shard, pieces,
-            "bulk-score-table",
-        )
-        merged = (
-            np.concatenate(shard_outputs)
-            if shard_outputs
-            else np.empty(0, dtype=np.float64)
-        )
-        if merged.shape[0] != table.n_rows:
-            raise ServingError(
-                f"bulk scoring returned {merged.shape[0]} probabilities "
-                f"for {table.n_rows} rows"
-            )
-        return merged
-    finally:
-        if own_executor is not None:
-            own_executor.shutdown()

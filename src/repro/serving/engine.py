@@ -31,13 +31,12 @@ import threading
 import time
 from collections import OrderedDict
 from contextvars import ContextVar
-from typing import Any
 
 from repro.core.deployment import CrashPronenessScorer
 from repro.datatable import DataTable
 from repro.exceptions import ServingError
 from repro.obs import trace as obs_trace
-from repro.serving.bulk import build_request_table, score_rows_sharded
+from repro.serving.bulk import build_request_table
 
 __all__ = ["LRUResultCache", "ScoringEngine", "last_queue_wait_ms"]
 
@@ -45,8 +44,7 @@ __all__ = ["LRUResultCache", "ScoringEngine", "last_queue_wait_ms"]
 #: queue, published per-context by :meth:`ScoringEngine.score_one` /
 #: :meth:`ScoringEngine.score_many` after their waits resolve.  The
 #: HTTP layer resets it per request and copies it into the access log
-#: (``queue_wait_ms``); the sharded bulk path never queues, so it
-#: leaves the value at None.
+#: (``queue_wait_ms``).
 last_queue_wait_ms: ContextVar[float | None] = ContextVar(
     "repro_engine_last_queue_wait_ms", default=None
 )
@@ -145,11 +143,15 @@ class _Pending:
         self.error = error
         self._event.set()
 
-    def wait(self, timeout: float | None = None) -> float:
-        if not self._event.wait(timeout):
-            raise ServingError(
-                f"scoring request timed out after {timeout}s"
-            )
+    def wait(self, deadline: float | None) -> bool:
+        """Block until resolved or until ``deadline`` (a
+        :func:`time.monotonic` instant; ``None`` waits for ever).
+        Returns False on timeout."""
+        if deadline is None:
+            return self._event.wait()
+        return self._event.wait(max(0.0, deadline - time.monotonic()))
+
+    def result(self) -> float:
         if self.error is not None:
             raise self.error
         assert self.probability is not None
@@ -175,13 +177,6 @@ class ScoringEngine:
         scored at once (see :meth:`_run`).
     cache_size:
         LRU capacity in rows; ``0`` disables the result cache.
-    bulk_jobs:
-        Worker processes for :meth:`score_batch`'s sharded path;
-        ``1`` (default) keeps every batch in-process.
-    bulk_threshold:
-        Minimum batch row count before :meth:`score_batch` shards
-        across the process pool; smaller batches stay on the
-        micro-batcher, whose latency they benefit from.
     tracer:
         The :class:`~repro.obs.trace.Tracer` that receives the
         micro-batch worker's spans.  The worker thread runs in no
@@ -197,24 +192,16 @@ class ScoringEngine:
         max_batch: int = 32,
         max_wait_ms: float = 5.0,
         cache_size: int = 1024,
-        bulk_jobs: int = 1,
-        bulk_threshold: int = 2048,
         tracer: obs_trace.Tracer | None = None,
     ):
         if max_batch < 1:
             raise ServingError(f"max_batch must be >= 1, got {max_batch}")
         if max_wait_ms < 0:
             raise ServingError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if bulk_threshold < 1:
-            raise ServingError(
-                f"bulk_threshold must be >= 1, got {bulk_threshold}"
-            )
         self.scorer = scorer
         self.name = name
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
-        self.bulk_jobs = bulk_jobs
-        self.bulk_threshold = bulk_threshold
         self._tracer = tracer
         self.schema = scorer.input_schema()
         self.input_names = list(self.schema)
@@ -225,13 +212,6 @@ class ScoringEngine:
         self.batched_rows = 0
         self.max_batch_observed = 0
         self.n_scored = 0
-        self.bulk_batches = 0
-        self.bulk_rows = 0
-        # SweepExecutor is imported lazily in _ensure_bulk_executor, so
-        # the attribute cannot carry the concrete type here.
-        self._bulk_executor: Any = None
-        self._bulk_payload: dict | None = None
-        self._bulk_lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
         self._worker = threading.Thread(
@@ -385,12 +365,29 @@ class ScoringEngine:
         if waits:
             last_queue_wait_ms.set(round(1000.0 * max(waits), 3))
 
+    def _wait_all(
+        self, pendings: list[_Pending], timeout: float | None
+    ) -> list[float]:
+        """Every pending's probability, under one deadline for the call.
+
+        ``timeout`` bounds the call's whole wait, not each row's: a
+        request whose rows span several passes still waits at most
+        ``timeout`` seconds in total.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        results = []
+        for p in pendings:
+            if not p.wait(deadline):
+                raise ServingError(
+                    f"scoring request timed out after {timeout}s"
+                )
+            results.append(p.result())
+        self._publish_queue_wait(pendings)
+        return results
+
     def score_one(self, row: dict, timeout: float | None = 30.0) -> float:
         """Score a single row through the micro-batcher (blocking)."""
-        pending = self.submit(row)
-        probability = pending.wait(timeout)
-        self._publish_queue_wait([pending])
-        return probability
+        return self._wait_all([self.submit(row)], timeout)[0]
 
     def score_many(
         self, rows: list[dict], timeout: float | None = 30.0
@@ -401,7 +398,8 @@ class ScoringEngine:
         row rejects the whole request without scoring the rows before
         it.  All rows are queued, as one caller, before any result is
         awaited, so one request's rows — and any concurrent requests'
-        rows — can share DataTable passes.
+        rows — can share DataTable passes.  ``timeout`` is one deadline
+        for all of the call's rows, however many passes they take.
         """
         if not isinstance(rows, list) or not rows:
             raise ServingError("rows must be a non-empty list of objects")
@@ -413,60 +411,11 @@ class ScoringEngine:
                 self.submit(row, i, caller=caller, validate=False)
                 for i, row in enumerate(rows)
             ]
-            results = [p.wait(timeout) for p in pending]
-            self._publish_queue_wait(pending)
-            return results
+            return self._wait_all(pending, timeout)
 
-    # -- process-sharded bulk scoring ---------------------------------------
-    def _bulk_eligible(self, rows: list) -> bool:
-        return (
-            self.bulk_jobs != 1
-            and len(rows) >= self.bulk_threshold
-        )
-
-    def _ensure_bulk_executor(self):
-        # Imported lazily so the serial engine never touches the pool
-        # machinery; created once and reused across batch requests.
-        from repro.parallel import SweepExecutor
-
-        with self._bulk_lock:
-            if self._closed:
-                raise ServingError(f"engine {self.name!r} is closed")
-            if self._bulk_executor is None:
-                self._bulk_executor = SweepExecutor(n_jobs=self.bulk_jobs)
-            if self._bulk_payload is None:
-                self._bulk_payload = self.scorer.to_dict()
-            return self._bulk_executor, self._bulk_payload
-
-    def score_batch(
-        self, rows: list[dict], timeout: float | None = 30.0
-    ) -> list[float]:
-        """Score a batch request, sharding big ones across processes.
-
-        Batches below ``bulk_threshold`` (or with ``bulk_jobs=1``) go
-        through the micro-batcher exactly as :meth:`score_many`.
-        Bigger ones are validated here, cut into contiguous shards and
-        scored on the bulk process pool with worker-cached scorers —
-        results come back in request order, element-for-element
-        identical to the single-process path.  The sharded path
-        bypasses the LRU cache: a network-wide re-score would only
-        evict the interactive working set.
-        """
-        if not isinstance(rows, list) or not rows:
-            raise ServingError("rows must be a non-empty list of objects")
-        if not self._bulk_eligible(rows):
-            return self.score_many(rows, timeout)
-        with obs_trace.span(
-            "engine.score_batch", rows=len(rows), bulk_jobs=self.bulk_jobs
-        ):
-            for i, row in enumerate(rows):
-                self.validate_row(row, i)
-            executor, payload = self._ensure_bulk_executor()
-            probabilities = score_rows_sharded(payload, rows, executor)
-        self.bulk_batches += 1
-        self.bulk_rows += len(rows)
-        self.n_scored += len(rows)
-        return probabilities
+    # The old name of score_many, kept only because perfbench still
+    # wraps this import path; delete it with that target (ROADMAP).
+    score_batch = score_many
 
     def _run(self) -> None:
         """The micro-batch worker: one self-clocking loop.
@@ -570,10 +519,6 @@ class ScoringEngine:
         self._closed = True
         self._queue.put(_SHUTDOWN)
         self._worker.join(timeout=10.0)
-        with self._bulk_lock:
-            executor, self._bulk_executor = self._bulk_executor, None
-        if executor is not None:
-            executor.shutdown()
 
     def __enter__(self) -> "ScoringEngine":
         return self
@@ -594,8 +539,4 @@ class ScoringEngine:
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
             "cache_size": len(self.cache),
-            "bulk_jobs": self.bulk_jobs,
-            "bulk_threshold": self.bulk_threshold,
-            "bulk_batches": self.bulk_batches,
-            "bulk_rows": self.bulk_rows,
         }

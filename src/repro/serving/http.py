@@ -25,12 +25,13 @@ is scored at once; ``max_wait_ms`` only caps how long a pass waits for
 callers it expects, it is not a delay every request pays.
 
 Observability: every request runs under an ``http.request`` span of
-the service's tracer (handler thread → engine queue → bulk shard
-workers reassemble into one trace, see :mod:`repro.obs.trace`), the
-optional access log gets one JSON line per completed request carrying
-that trace id, and metrics label requests by a *fixed* route table —
-unknown paths share one ``"<METHOD> [unknown]"`` label so probe scans
-cannot explode the metric cardinality.
+the service's tracer (spans from the handler thread and the
+micro-batch worker reassemble into one trace, see
+:mod:`repro.obs.trace`), the optional access log gets one JSON line
+per completed request carrying that trace id, and metrics label
+requests by a *fixed* route table — unknown paths share one
+``"<METHOD> [unknown]"`` label so probe scans cannot explode the
+metric cardinality.
 """
 
 from __future__ import annotations
@@ -142,10 +143,6 @@ class ScoringService:
         Engine tuning, applied to every model's engine: the rows cap
         per pass, the cap on a pass's wait for more callers, and the
         LRU capacity (see :class:`~repro.serving.engine.ScoringEngine`).
-    bulk_jobs / bulk_threshold:
-        Process-sharded bulk scoring for ``/v1/score/batch``: batches
-        of at least ``bulk_threshold`` rows shard across ``bulk_jobs``
-        worker processes (``1`` disables sharding).
     cutoff:
         Default probability cutoff for the ``crash_prone`` flag.
     max_body_bytes:
@@ -188,8 +185,6 @@ class ScoringService:
         max_wait_ms: float = 5.0,
         cache_size: int = 1024,
         cutoff: float = 0.5,
-        bulk_jobs: int = 1,
-        bulk_threshold: int = 2048,
         max_body_bytes: int = 8 * 1024 * 1024,
         tracer: Tracer | None = None,
         access_log: AccessLog | str | Path | None = None,
@@ -212,8 +207,6 @@ class ScoringService:
         self.max_wait_ms = max_wait_ms
         self.cache_size = cache_size
         self.cutoff = cutoff
-        self.bulk_jobs = bulk_jobs
-        self.bulk_threshold = bulk_threshold
         self.max_body_bytes = max_body_bytes
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._owns_access_log = access_log is not None and not isinstance(
@@ -262,8 +255,6 @@ class ScoringService:
                     max_batch=self.max_batch,
                     max_wait_ms=self.max_wait_ms,
                     cache_size=self.cache_size,
-                    bulk_jobs=self.bulk_jobs,
-                    bulk_threshold=self.bulk_threshold,
                     tracer=self.tracer,
                 )
                 self._engines[name] = engine
@@ -435,9 +426,7 @@ class ScoringService:
             rows = body.get("rows")
             cutoff = self._cutoff_from(body)
             engine = self.engine(name)
-            # Small batches micro-batch; big ones shard across the
-            # bulk process pool (see ScoringEngine.score_batch).
-            probabilities = engine.score_batch(rows)
+            probabilities = engine.score_many(rows)
             return 200, {
                 "model": name,
                 "threshold": engine.scorer.threshold,
@@ -628,7 +617,7 @@ class ScoringService:
                 tracer = service.tracer
                 trace_id = None
                 # Cleared per request so a handler that never queues
-                # (GET routes, bulk path) cannot inherit the previous
+                # (GET routes, route queries) cannot inherit the previous
                 # request's queue wait from this thread's context.
                 queue_wait_token = last_queue_wait_ms.set(None)
                 start = time.perf_counter()

@@ -57,7 +57,6 @@ EXPECTED_METRICS = frozenset({
 
 EXPECTED_SPANS = frozenset({
     "engine.batch",
-    "engine.score_batch",
     "engine.score_many",
     "engine.score_rows",
     "executor.run",

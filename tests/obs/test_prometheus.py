@@ -23,8 +23,7 @@ ENGINE_STATS = {
     "cp8": {
         "rows_scored": 120, "batches": 7, "max_batch_observed": 32,
         "mean_batch_size": 17.1, "cache_hits": 40, "cache_misses": 80,
-        "cache_size": 64, "bulk_jobs": 2, "bulk_threshold": 10,
-        "bulk_batches": 1, "bulk_rows": 60,
+        "cache_size": 64,
     }
 }
 
@@ -93,7 +92,7 @@ class TestRenderPrometheus:
         lines = text.splitlines()
         assert 'repro_engine_rows_scored_total{model="cp8"} 120' in lines
         assert 'repro_engine_cache_size{model="cp8"} 64' in lines
-        assert 'repro_engine_bulk_rows_total{model="cp8"} 60' in lines
+        assert 'repro_engine_batches_total{model="cp8"} 7' in lines
 
     def test_label_values_are_escaped(self):
         metrics = RequestMetrics()

@@ -163,8 +163,6 @@ class TestValidation:
     def test_config_bounds(self, small_dataset):
         from repro.routing import RoutePlanner
 
-        with pytest.raises(ConfigurationError, match="n_jobs"):
-            RoutePlanner(small_dataset, n_jobs=0)
         with pytest.raises(ConfigurationError, match="max_graphs"):
             RoutePlanner(small_dataset, max_graphs=0)
         with pytest.raises(ConfigurationError, match="default_alpha"):

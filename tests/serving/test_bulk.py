@@ -1,57 +1,6 @@
-"""Process-sharded bulk scoring: shard math, worker cache, parity.
+"""Request rows → typed DataTable (``repro.serving.bulk``)."""
 
-The contract under test: sharding a scoring pass across the process
-pool is *invisible* — ``score_rows_sharded`` / ``score_table_sharded``
-/ ``ScoringEngine.score_batch`` return element-for-element exactly
-what the unsharded pass returns, in request order, for every shard
-count.
-"""
-
-import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.exceptions import ServingError
-from repro.parallel import SweepExecutor
-from repro.serving import ScoringEngine, score_table_sharded, shard_bounds
-from repro.serving.bulk import (
-    _WORKER_CACHE_LIMIT,
-    _worker_scorer,
-    _worker_scorers,
-    build_request_table,
-    score_rows_sharded,
-)
-
-
-class TestShardBounds:
-    @given(
-        n_rows=st.integers(min_value=0, max_value=5000),
-        n_shards=st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_bounds_partition_the_rows(self, n_rows, n_shards):
-        bounds = shard_bounds(n_rows, n_shards)
-        # Contiguous cover, no empty shards, balanced within one row.
-        assert len(bounds) <= n_shards
-        position = 0
-        sizes = []
-        for start, stop in bounds:
-            assert start == position and stop > start
-            sizes.append(stop - start)
-            position = stop
-        assert position == n_rows
-        if sizes:
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_zero_rows_means_zero_shards(self):
-        assert shard_bounds(0, 4) == []
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ServingError, match="n_rows"):
-            shard_bounds(-1, 2)
-        with pytest.raises(ServingError, match="n_shards"):
-            shard_bounds(10, 0)
+from repro.serving.bulk import build_request_table
 
 
 class TestRequestTable:
@@ -71,116 +20,3 @@ class TestRequestTable:
         for name, spec in schema.items():
             if spec["kind"] == "numeric":
                 assert table.column(name).is_numeric
-
-
-class TestWorkerCache:
-    def setup_method(self):
-        _worker_scorers.clear()
-
-    def test_same_payload_rebuilds_once(self, serving_scorer):
-        payload = serving_scorer.to_dict()
-        first = _worker_scorer(payload)
-        assert _worker_scorer(payload) is first
-        assert len(_worker_scorers) == 1
-
-    def test_cache_is_bounded(self, serving_scorer):
-        base = serving_scorer.to_dict()
-        from repro.core.deployment import payload_checksum
-
-        for revision in range(_WORKER_CACHE_LIMIT + 3):
-            payload = dict(base, metadata=dict(base["metadata"], r=revision))
-            del payload["checksum"]
-            payload["checksum"] = payload_checksum(payload)
-            _worker_scorer(payload)
-        assert len(_worker_scorers) == _WORKER_CACHE_LIMIT
-
-
-class TestShardedParity:
-    def test_score_rows_sharded_matches_unsharded(
-        self, serving_scorer, segment_rows
-    ):
-        payload = serving_scorer.to_dict()
-        table = build_request_table(
-            segment_rows, serving_scorer.input_schema()
-        )
-        expected = [float(p) for p in serving_scorer.score(table)]
-        with SweepExecutor(n_jobs=3) as executor:
-            got = score_rows_sharded(payload, list(segment_rows), executor)
-        assert got == expected  # element-for-element, request order
-
-    def test_score_rows_sharded_empty(self, serving_scorer):
-        with SweepExecutor(n_jobs=2) as executor:
-            assert score_rows_sharded(
-                serving_scorer.to_dict(), [], executor
-            ) == []
-
-    @pytest.mark.parametrize("n_jobs", [1, 2, 5])
-    def test_score_table_sharded_matches_score(
-        self, serving_scorer, small_dataset, n_jobs
-    ):
-        table = small_dataset.segment_table.head(97)
-        expected = serving_scorer.score(table)
-        got = score_table_sharded(serving_scorer, table, n_jobs=n_jobs)
-        assert np.array_equal(got, expected)
-
-    def test_more_shards_than_rows(self, serving_scorer, small_dataset):
-        table = small_dataset.segment_table.head(3)
-        got = score_table_sharded(serving_scorer, table, n_jobs=8)
-        assert np.array_equal(got, serving_scorer.score(table))
-
-
-class TestEngineBulkPath:
-    @pytest.fixture()
-    def bulk_engine(self, serving_scorer):
-        engine = ScoringEngine(
-            serving_scorer,
-            name="bulk",
-            cache_size=0,
-            bulk_jobs=2,
-            bulk_threshold=20,
-        )
-        yield engine
-        engine.close()
-
-    def test_score_batch_sharded_equals_unsharded(
-        self, serving_scorer, segment_rows, bulk_engine
-    ):
-        serial = ScoringEngine(serving_scorer, name="serial", cache_size=0)
-        try:
-            expected = serial.score_rows(list(segment_rows))
-        finally:
-            serial.close()
-        got = bulk_engine.score_batch(list(segment_rows))
-        assert got == expected
-        assert bulk_engine.bulk_batches == 1
-        assert bulk_engine.bulk_rows == len(segment_rows)
-
-    def test_small_batches_stay_on_the_micro_batcher(
-        self, segment_rows, bulk_engine
-    ):
-        rows = segment_rows[:5]  # below bulk_threshold
-        got = bulk_engine.score_batch(list(rows))
-        assert len(got) == 5
-        assert bulk_engine.bulk_batches == 0
-
-    def test_sharded_batch_validates_rows(self, bulk_engine, segment_rows):
-        rows = [dict(r) for r in segment_rows[:30]]
-        rows[17] = {"x": 1}
-        with pytest.raises(ServingError, match="row 17"):
-            bulk_engine.score_batch(rows)
-
-    def test_stats_expose_bulk_counters(self, bulk_engine, segment_rows):
-        bulk_engine.score_batch(list(segment_rows[:25]))
-        stats = bulk_engine.stats()
-        assert stats["bulk_jobs"] == 2
-        assert stats["bulk_threshold"] == 20
-        assert stats["bulk_batches"] == 1
-        assert stats["bulk_rows"] == 25
-
-    def test_closed_engine_rejects_bulk(self, serving_scorer, segment_rows):
-        engine = ScoringEngine(
-            serving_scorer, name="x", bulk_jobs=2, bulk_threshold=5
-        )
-        engine.close()
-        with pytest.raises(ServingError, match="closed"):
-            engine.score_batch(list(segment_rows[:10]))

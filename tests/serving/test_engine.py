@@ -151,6 +151,42 @@ class TestMicroBatching:
             ScoringEngine(serving_scorer, max_wait_ms=-1)
 
 
+class SlowScorer:
+    """A scorer double that sleeps ``delay`` seconds before each pass."""
+
+    def __init__(self, scorer, delay: float):
+        self.scorer = scorer
+        self.delay = delay
+
+    def __getattr__(self, name):
+        return getattr(self.scorer, name)
+
+    def score(self, table):
+        time.sleep(self.delay)
+        return self.scorer.score(table)
+
+
+class TestTimeout:
+    def test_timeout_is_one_deadline_for_the_whole_call(
+        self, serving_scorer, segment_rows
+    ):
+        """8 rows at ``max_batch=2`` take at least four 0.3 s passes.
+        No single pass outlasts the 0.6 s timeout, but the call as a
+        whole does, so it must time out near 0.6 s, not finish after
+        ~1.2 s because every row's wait restarted the clock."""
+        engine = ScoringEngine(
+            serving_scorer, name="cp8", max_batch=2, cache_size=0
+        )
+        engine.scorer = SlowScorer(engine.scorer, delay=0.3)
+        try:
+            start = time.monotonic()
+            with pytest.raises(ServingError, match="timed out after 0.6s"):
+                engine.score_many(segment_rows[:8], timeout=0.6)
+            assert time.monotonic() - start < 1.1
+        finally:
+            engine.close()
+
+
 class TestAdaptiveBatching:
     """``max_wait_ms`` is a cap: the worker waits only for callers it
     expects, i.e. while a batch has fewer callers than the last pass."""

@@ -277,38 +277,6 @@ class TestEndToEndParity:
             assert engine.batched_rows == 36
 
 
-class TestShardedBatchThroughService:
-    def test_sharded_batch_equals_unsharded_element_for_element(
-        self, model_dir, segment_rows
-    ):
-        """Acceptance: /v1/score/batch answers are byte-identical
-        whether or not the request sharded across the process pool."""
-        payload = {"rows": segment_rows}
-        with ScoringService(model_dir, port=0).start() as service:
-            unsharded = _post(service, "/v1/score/batch", payload)
-        with ScoringService(
-            model_dir, port=0, bulk_jobs=3, bulk_threshold=10
-        ).start() as service:
-            sharded = _post(service, "/v1/score/batch", payload)
-            engine = service.engine("cp8")
-            assert engine.bulk_batches == 1
-            assert engine.bulk_rows == len(segment_rows)
-        assert sharded["count"] == unsharded["count"] == len(segment_rows)
-        assert sharded["results"] == unsharded["results"]
-
-    def test_below_threshold_requests_do_not_shard(
-        self, model_dir, segment_rows
-    ):
-        with ScoringService(
-            model_dir, port=0, bulk_jobs=2, bulk_threshold=1000
-        ).start() as service:
-            body = _post(
-                service, "/v1/score/batch", {"rows": segment_rows[:6]}
-            )
-            assert body["count"] == 6
-            assert service.engine("cp8").bulk_batches == 0
-
-
 class TestHotReloadThroughService:
     def test_rewritten_artefact_swaps_engine(
         self, model_dir, serving_scorer, tmp_path, segment_rows

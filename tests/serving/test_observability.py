@@ -1,11 +1,11 @@
 """End-to-end observability of the scoring service.
 
-The acceptance test of the tracing tentpole lives here: one bulk
-``POST /v1/score/batch`` must come back as a SINGLE connected span
-tree — handler thread → engine → executor → pool workers — with every
-parent/child link intact.  Alongside it: the Prometheus exposition
-endpoint, fixed-cardinality 404 labels, the structured access log, and
-the post-``timed()`` error accounting.
+The acceptance test of tracing lives here: one ``POST /v1/score/batch``
+whose rows take several micro-batch passes must come back as a SINGLE
+connected span tree — handler thread → engine → batch worker → kernel
+— with every parent/child link intact.  Alongside it: the Prometheus
+exposition endpoint, fixed-cardinality 404 labels, the structured
+access log, and the post-``timed()`` error accounting.
 """
 
 import http.client
@@ -55,31 +55,40 @@ def _wait_for_spans(tracer, names, timeout=5.0):
     )
 
 
-class TestBulkRequestTrace:
-    def test_one_batch_post_yields_one_connected_trace(
+def _wait_for_batched_rows(tracer, n_rows, timeout=5.0):
+    """Spans once every row's ``engine.batch`` and the request are done.
+
+    The worker closes a batch span after resolving its rows, so the
+    last one can trail the HTTP response.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        spans = tracer.finished()
+        batched = sum(
+            s.attrs["batch_size"] for s in spans if s.name == "engine.batch"
+        )
+        if batched >= n_rows and "http.request" in {s.name for s in spans}:
+            return spans
+        time.sleep(0.005)
+    raise AssertionError(f"expected {n_rows} batched rows in finished spans")
+
+
+class TestBatchRequestTrace:
+    def test_multi_pass_batch_post_yields_one_connected_trace(
         self, model_dir, segment_rows
     ):
+        """60 rows at ``max_batch=32`` take at least two passes; every
+        pass must hang off the one request's ``engine.score_many``."""
+        assert len(segment_rows) == 60
         tracer = Tracer(max_spans=None)
         with ScoringService(
-            model_dir,
-            port=0,
-            bulk_jobs=2,
-            bulk_threshold=10,
-            tracer=tracer,
+            model_dir, port=0, max_batch=32, cache_size=0, tracer=tracer
         ).start() as service:
             out = _post(
                 service, "/v1/score/batch", {"rows": segment_rows}
             )
-        assert out["count"] == len(segment_rows)
-
-        spans = tracer.finished()
-        names = {s.name for s in spans}
-        assert {
-            "http.request",
-            "engine.score_batch",
-            "executor.run",
-            "bulk.score_shard",
-        } <= names
+            assert out["count"] == len(segment_rows)
+            spans = _wait_for_batched_rows(tracer, len(segment_rows))
 
         # SINGLE connected trace: one trace id, one root, no orphans.
         assert len({s.trace_id for s in spans}) == 1
@@ -93,27 +102,25 @@ class TestBulkRequestTrace:
         def parent_of(span):
             return by_id[span.parent_id]
 
-        # The queue-wait → fan-out → per-worker chain, link by link.
-        batch_span = next(s for s in spans if s.name == "engine.score_batch")
-        assert parent_of(batch_span).name == "http.request"
-        run_span = next(s for s in spans if s.name == "executor.run")
-        assert parent_of(run_span).name == "engine.score_batch"
-        task_spans = [
-            s for s in spans if s.name.startswith("task.bulk-score/shard-")
-        ]
-        assert len(task_spans) == 2  # bulk_jobs=2 → two shards
-        assert all(s.parent_id == run_span.span_id for s in task_spans)
-        shard_spans = [s for s in spans if s.name == "bulk.score_shard"]
-        assert len(shard_spans) == 2
-        assert {parent_of(s).span_id for s in shard_spans} == {
-            s.span_id for s in task_spans
-        }
-        assert sum(s.attrs["rows"] for s in shard_spans) == len(segment_rows)
-        # Worker-side kernel evaluation rides inside the shard spans.
+        # request → score_many → every batch pass, link by link.
+        many = [s for s in spans if s.name == "engine.score_many"]
+        assert len(many) == 1
+        assert parent_of(many[0]) is roots[0]
+        batches = [s for s in spans if s.name == "engine.batch"]
+        assert len(batches) >= 2
+        assert all(s.parent_id == many[0].span_id for s in batches)
+        assert sum(s.attrs["batch_size"] for s in batches) == len(
+            segment_rows
+        )
+        # Each pass scores under its batch; the kernel under the pass.
+        score_rows = [s for s in spans if s.name == "engine.score_rows"]
+        assert score_rows
+        assert all(parent_of(s).name == "engine.batch" for s in score_rows)
         evaluate_spans = [s for s in spans if s.name == "plan.evaluate"]
         assert evaluate_spans
-        shard_ids = {s.span_id for s in shard_spans}
-        assert all(s.parent_id in shard_ids for s in evaluate_spans)
+        assert all(
+            parent_of(s).name == "engine.score_rows" for s in evaluate_spans
+        )
 
 
 class TestMicroBatchTrace:

@@ -149,7 +149,24 @@ class TestCommands:
             "rank", "segment_id", "probability", "crash_prone",
         }
 
+        from repro.core.deployment import CrashPronenessScorer
         from repro.datatable import read_csv
+
+        # The JSON carries exactly what the library computes.
+        scorer = CrashPronenessScorer.load(model_path)
+        table = read_csv(out_dir / "segments.csv")
+        assert payload["expected_prone_km"] == scorer.expected_prone_km(
+            table
+        )
+        assert payload["results"] == [
+            {
+                "rank": s.rank,
+                "segment_id": s.segment_id,
+                "probability": s.probability,
+                "crash_prone": s.crash_prone,
+            }
+            for s in scorer.treatment_list(table, top=5)
+        ]
 
         scored = read_csv(scored_csv)
         assert scored.n_rows == 400
