@@ -188,22 +188,17 @@ def roc_auc(actual: np.ndarray, scores: np.ndarray) -> float:
     if positives == 0 or negatives == 0:
         return float("nan")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(actual.size, dtype=np.float64)
     sorted_scores = scores[order]
-    # Average ranks over tied score runs.
-    i = 0
-    position = 1.0
-    while i < sorted_scores.size:
-        j = i
-        while (
-            j + 1 < sorted_scores.size
-            and sorted_scores[j + 1] == sorted_scores[i]
-        ):
-            j += 1
-        mean_rank = (position + position + (j - i)) / 2.0
-        ranks[order[i : j + 1]] = mean_rank
-        position += j - i + 1
-        i = j + 1
+    # Average ranks over runs of tied scores.  NaN != NaN, so every NaN
+    # is a run of its own.
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
+    )
+    lengths = np.diff(np.append(starts, sorted_scores.size))
+    position = starts + 1.0
+    mean_rank = (position + position + (lengths - 1)) / 2.0
+    ranks = np.empty(actual.size, dtype=np.float64)
+    ranks[order] = np.repeat(mean_rank, lengths)
     rank_sum = float(ranks[np.asarray(actual) == 1].sum())
     u = rank_sum - positives * (positives + 1) / 2.0
     return u / (positives * negatives)

@@ -134,24 +134,24 @@ class KMeans:
         self, x: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, float, int]:
         centroids = self._kmeanspp(x, rng)
+        x_sq = _row_sq(x)
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
-            distances = _pairwise_sq(x, centroids)
+            distances = _pairwise_sq(x, centroids, x_sq)
             assignment = distances.argmin(axis=1)
+            sizes = np.bincount(assignment, minlength=self.n_clusters)
+            sums = _cluster_sums(x, assignment, self.n_clusters)
             new_centroids = centroids.copy()
-            for k in range(self.n_clusters):
-                members = assignment == k
-                if members.any():
-                    new_centroids[k] = x[members].mean(axis=0)
-                else:
-                    # Re-seed an empty cluster at the worst-served point.
-                    worst = int(distances.min(axis=1).argmax())
-                    new_centroids[k] = x[worst]
+            filled = sizes > 0
+            new_centroids[filled] = sums[filled] / sizes[filled, None]
+            if not filled.all():
+                # Re-seed every empty cluster at the worst-served point.
+                new_centroids[~filled] = x[int(distances.min(axis=1).argmax())]
             shift = float(np.abs(new_centroids - centroids).max())
             centroids = new_centroids
             if shift < self.tolerance:
                 break
-        distances = _pairwise_sq(x, centroids)
+        distances = _pairwise_sq(x, centroids, x_sq)
         inertia = float(distances.min(axis=1).sum())
         return centroids, inertia, iterations
 
@@ -175,9 +175,31 @@ class KMeans:
         return np.bincount(assignment, minlength=self.n_clusters)
 
 
-def _pairwise_sq(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (n_rows, n_clusters)."""
-    x_sq = (x**2).sum(axis=1, keepdims=True)
+def _cluster_sums(
+    x: np.ndarray, assignment: np.ndarray, n_clusters: int
+) -> np.ndarray:
+    """Per-cluster column sums, (n_clusters, n_columns), bit-equal to
+    ``x[assignment == k].sum(axis=0)``.  numpy adds the rows of a 2-D
+    block in row order, as one bincount per column does; a single
+    column it sums pairwise, so that case keeps the masked sum."""
+    if x.shape[1] == 1:
+        return np.array([[x[assignment == k, 0].sum()] for k in range(n_clusters)])
+    columns = [np.bincount(assignment, weights=c, minlength=n_clusters) for c in x.T]
+    return np.array(columns).reshape(x.shape[1], n_clusters).T
+
+
+def _row_sq(x: np.ndarray) -> np.ndarray:
+    """Squared row norms as a column, (n_rows, 1)."""
+    return (x**2).sum(axis=1, keepdims=True)
+
+
+def _pairwise_sq(
+    x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared Euclidean distances, (n_rows, n_clusters).  ``x_sq`` is
+    ``_row_sq(x)``, for callers that reuse one ``x``."""
+    if x_sq is None:
+        x_sq = _row_sq(x)
     c_sq = (centroids**2).sum(axis=1)
     cross = x @ centroids.T
     return np.maximum(x_sq - 2 * cross + c_sq, 0.0)

@@ -13,7 +13,9 @@ lists): every pending node carries, per numeric feature, its row ids in
 that feature's stable sorted order, and a child's lists are its
 parent's filtered to the child's rows.  Node row ids always ascend, so
 the filtered lists are exactly what a stable argsort at the child would
-give, and the trees are those of re-sorting at every node.
+give, and the trees are those of re-sorting at every node.  Nominal
+features' codes are stacked once per tree as well, and each node scores
+all of them in one :func:`best_nominal_splits` call.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from repro.exceptions import ConfigurationError
 from repro.mining.features import Feature, FeatureSet
 from repro.mining.tree.splitting import (
     SplitCandidate,
-    best_categorical_split_chi2,
-    best_categorical_split_f,
+    best_nominal_splits,
     best_numeric_splits,
 )
 from repro.mining.tree.structure import Branch, TreeNode, partition_indices
@@ -81,6 +82,10 @@ class TreeConfig:
             raise ConfigurationError(
                 f"max_candidates must be >= 1, got {self.max_candidates}"
             )
+        if not 0 < self.merge_alpha <= 1:
+            raise ConfigurationError(
+                f"merge_alpha must be in (0, 1], got {self.merge_alpha}"
+            )
 
 
 @dataclass
@@ -96,6 +101,7 @@ class GrownTree:
 def _best_split(
     features: FeatureSet,
     numeric: np.ndarray,
+    nominal: np.ndarray,
     y: np.ndarray,
     idx: np.ndarray,
     block: np.ndarray,
@@ -104,9 +110,10 @@ def _best_split(
 ) -> SplitCandidate | None:
     """Most significant candidate over all features for rows ``idx``.
 
-    ``numeric`` stacks the numeric features' values (one row each, in
-    feature order) and ``block`` holds, per row, the node's row ids in
-    that feature's sorted order.
+    ``numeric`` stacks the numeric features' values and ``nominal`` the
+    nominal features' codes (one row each, in feature order); ``block``
+    holds, per numeric row, the node's row ids in that feature's sorted
+    order.
     """
     best: SplitCandidate | None = None
     y_sub = y[idx]
@@ -123,19 +130,21 @@ def _best_split(
             config.bonferroni,
         )
     )
+    nominal_features = [f for f in features.features if not f.is_numeric]
+    nominal_splits = iter(
+        best_nominal_splits(
+            [f.name for f in nominal_features],
+            nominal[:, idx],
+            [f.n_levels for f in nominal_features],
+            y_sub,
+            mode,
+            config.min_leaf,
+            config.merge_alpha,
+            config.bonferroni,
+        )
+    )
     for feature in features.features:
-        if feature.is_numeric:
-            candidate = next(numeric_splits)
-        elif mode == "chi2":
-            candidate = best_categorical_split_chi2(
-                feature.name, feature.values[idx], feature.n_levels, y_sub,
-                config.min_leaf, config.merge_alpha, config.bonferroni,
-            )
-        else:
-            candidate = best_categorical_split_f(
-                feature.name, feature.values[idx], feature.n_levels, y_sub,
-                config.min_leaf, config.merge_alpha, config.bonferroni,
-            )
+        candidate = next(numeric_splits if feature.is_numeric else nominal_splits)
         if candidate is None:
             continue
         if best is None or (candidate.p_value, -candidate.statistic) < (
@@ -206,6 +215,10 @@ def grow_tree(
     numeric = np.array(
         [f.values for f in numeric_features], dtype=np.float64
     ).reshape(len(numeric_features), n)
+    nominal_features = [f for f in features.features if not f.is_numeric]
+    nominal = np.array(
+        [f.values for f in nominal_features], dtype=np.int64
+    ).reshape(len(nominal_features), n)
     heap: list[
         tuple[float, float, int, TreeNode, np.ndarray, np.ndarray, SplitCandidate]
     ] = []
@@ -218,7 +231,7 @@ def grow_tree(
             or node.depth >= config.max_depth
         ):
             return
-        split = _best_split(features, numeric, y, idx, block, config, mode)
+        split = _best_split(features, numeric, nominal, y, idx, block, config, mode)
         if split is None or split.p_value > config.alpha:
             return
         heapq.heappush(

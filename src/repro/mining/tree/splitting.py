@@ -16,7 +16,9 @@ Both tests are implemented here as vectorised scans:
   sorts each feature once per tree rather than once per node;
 * nominal attributes: levels start as their own branches and CHAID-style
   greedy merging joins the most similar pair while the pairwise test is
-  insignificant;
+  insignificant.  :func:`best_nominal_splits` counts the levels of all
+  nominal features of a node in one bincount and merges each feature's
+  few groups in Python floats, with one p-value call per merge step;
 * missing values are "valid data" (paper, Section 3): rows with a
   missing attribute form their own branch when numerous enough,
   otherwise they are excluded from the test and routed to the largest
@@ -32,6 +34,8 @@ objects.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,7 @@ __all__ = [
     "best_categorical_split_chi2",
     "best_numeric_split_f",
     "best_categorical_split_f",
+    "best_nominal_splits",
     "chi_square_2x2",
     "f_statistic",
 ]
@@ -126,29 +131,48 @@ def chi_square_table(table: np.ndarray) -> tuple[float, float, int]:
     return chi2, p, dof
 
 
+def _ordered_sum(values: list[float]) -> float:
+    """``np.array(values).sum()``, bit for bit.
+
+    Below 8 terms numpy's sum is a left-to-right fold from 0.0, which
+    Python floats repeat exactly without a numpy call; from 8 terms on
+    numpy sums pairwise, so numpy does it.
+    """
+    if len(values) >= 8:
+        return float(np.array(values).sum())
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def f_statistic(
-    group_sums: np.ndarray,
-    group_counts: np.ndarray,
+    group_sums: Sequence[float],
+    group_counts: Sequence[float],
     total_ss: float,
     total_sum: float,
     total_n: int,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[float, int, int]:
     """One-way ANOVA F over groups described by sums/counts.
 
     ``total_ss`` is Σy², ``total_sum`` is Σy over all rows.  Degrees of
-    freedom are (k−1, n−k).  Vectorised over a leading axis of
-    candidates when the inputs are 2-D.
+    freedom are (k−1, n−k).  Computed in Python floats with the float
+    operations of :func:`_anova_f`: ``x*x`` where numpy squares, libm
+    ``pow`` in :func:`_grand_mean_ss`, and the groups' terms summed as
+    ``ndarray.sum()`` sums them.
     """
-    group_sums = np.asarray(group_sums, dtype=np.float64)
-    group_counts = np.asarray(group_counts, dtype=np.float64)
-    k = group_sums.shape[-1]
+    k = len(group_sums)
     df1 = k - 1
     df2 = max(total_n - k, 1)
-    f = _anova_f(
-        group_sums, group_counts, total_ss, _grand_mean_ss(total_sum, total_n),
-        df1, df2,
-    )
-    return f, df1, df2
+    grand_mean_ss = _grand_mean_ss(total_sum, total_n)
+    terms = [
+        s * s / max(n, _EPS) if n > 0 else 0.0
+        for s, n in zip(group_sums, group_counts)
+    ]
+    between = _ordered_sum(terms) - grand_mean_ss
+    within = max(total_ss - grand_mean_ss - between, 0.0)
+    f = (between / max(df1, 1)) / max(within / df2, _EPS)
+    return max(f, 0.0), df1, df2
 
 
 def _grand_mean_ss(total_sum: float, total_n: int) -> float:
@@ -169,8 +193,8 @@ def _anova_f(
     """F from per-group sums and counts (groups on the last axis).
 
     The totals and ``df2`` may be arrays over the leading candidate
-    axis; each candidate then gets exactly the arithmetic of a scalar
-    call.
+    axis; each candidate then gets exactly the arithmetic of
+    :func:`f_statistic` on that candidate alone.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         between = (
@@ -222,11 +246,19 @@ def best_numeric_splits(
         & (gap >= min_leaf - 1)
         & (gap <= (n_present - min_leaf - 1)[:, None])
     )
-    for row in np.flatnonzero(admissible.sum(axis=1) > max_candidates):
-        boundaries = np.flatnonzero(admissible[row])
-        picks = np.linspace(0, boundaries.size - 1, max_candidates).astype(int)
-        admissible[row] = False
-        admissible[row, boundaries[np.unique(picks)]] = True
+    # Rows with more boundaries keep the picks of
+    # np.linspace(0, count - 1, max_candidates).astype(int); linspace
+    # over an array of stops does each row's scalar arithmetic.
+    count = admissible.sum(axis=1)
+    thin = np.flatnonzero(count > max_candidates)
+    if thin.size:
+        picks = np.linspace(0, count[thin] - 1, max_candidates, axis=1).astype(np.int64)
+        block = admissible[thin]
+        boundaries = np.flatnonzero(block)
+        first = np.cumsum(count[thin]) - count[thin]
+        keep = np.zeros(block.size, dtype=bool)
+        keep[boundaries[first[:, None] + picks]] = True
+        admissible[thin] = keep.reshape(block.shape)
     rows, positions = np.nonzero(admissible)
     if rows.size == 0:
         return splits
@@ -337,38 +369,235 @@ def best_numeric_split_f(
 
 
 # ---------------------------------------------------------------------------
-# categorical splits with CHAID-style level merging
+# nominal splits with CHAID-style level merging
 # ---------------------------------------------------------------------------
 
-def _merge_groups_chi2(
+def _chi2_2x2(a: float, b: float, c: float, d: float) -> float:
+    """:func:`chi_square_2x2` of one table of counts, in the same float
+    operations (a positive ``den`` of counts is at least 1)."""
+    den = (a + b) * (c + d) * (a + c) * (b + d)
+    if den > 0:
+        diff = a * d - b * c
+        return (a + b + c + d) * (diff * diff) / den
+    return 0.0
+
+
+def _chi2_of_groups(pos: list[float], neg: list[float]) -> tuple[float, int]:
+    """χ² and dof of :func:`chi_square_table` over a groups × (pos, neg)
+    table, in the same float operations.  Counts, their totals and the
+    products ``row * col`` are exact integers."""
+    cols = (sum(pos), sum(neg))
+    total = cols[0] + cols[1]
+    terms = []
+    for row in zip(pos, neg):
+        row_total = row[0] + row[1]
+        for count, col in zip(row, cols):
+            expected = row_total * col / total
+            if expected > 0:
+                diff = count - expected
+                terms.append(diff * diff / expected)
+    dof = (sum(1 for p, n in zip(pos, neg) if p + n > 0) - 1) * (
+        sum(1 for col in cols if col > 0) - 1
+    )
+    return _ordered_sum(terms), max(1, dof)
+
+
+def _merge_chi2(
     groups: list[list[int]],
-    pos: np.ndarray,
-    neg: np.ndarray,
+    pos: list[float],
+    neg: list[float],
     merge_alpha: float,
 ) -> list[list[int]]:
-    """Greedily merge the most similar pair while insignificant.
+    """Greedily merge the most similar pair of groups while insignificant.
 
-    Each step tests every pair (i < j) at once and merges the first pair,
-    in (i, j) order, with the highest p-value.
+    Each step scores every pair (i < j) and merges the first pair, in
+    (i, j) order, with the highest p-value.  ``pos`` and ``neg`` hold the
+    groups' counts, which add up exactly when groups merge.
     """
     while len(groups) > 2:
-        group_pos = np.array([pos[g].sum() for g in groups])
-        group_neg = np.array([neg[g].sum() for g in groups])
-        first, second = np.triu_indices(len(groups), 1)
-        p = chdtrc(
-            1,
-            chi_square_2x2(
-                group_pos[first], group_neg[first],
-                group_pos[second], group_neg[second],
-            ),
-        )
+        pairs = list(itertools.combinations(range(len(groups)), 2))
+        p = chdtrc(1, [_chi2_2x2(pos[i], neg[i], pos[j], neg[j]) for i, j in pairs])
         best = int(np.argmax(p))
         if p[best] < merge_alpha:
             break
-        i, j = int(first[best]), int(second[best])
+        i, j = pairs[best]
         groups[i] = groups[i] + groups[j]
-        del groups[j]
+        pos[i] += pos[j]
+        neg[i] += neg[j]
+        del groups[j], pos[j], neg[j]
     return groups
+
+
+def _merge_f(
+    groups: list[list[int]],
+    level_sums: list[float],
+    level_sqsums: list[float],
+    counts: list[float],
+    merge_alpha: float,
+) -> list[list[int]]:
+    """Greedy merge of level groups with the least-significant mean gap.
+
+    Each step scores every pair (i < j) and merges the first pair, in
+    (i, j) order, with the highest p-value.  ``counts`` holds the
+    groups' row counts, which add up exactly; a merged group's sums are
+    summed again over its levels in list order, because float addition
+    is not associative and adding the two groups' sums could differ.
+    """
+    sums = [level_sums[g[0]] for g in groups]
+    sqsums = [level_sqsums[g[0]] for g in groups]
+    while len(groups) > 2:
+        pairs = list(itertools.combinations(range(len(groups)), 2))
+        statistics = []
+        df2 = []
+        for i, j in pairs:
+            n = int(counts[i] + counts[j])
+            f, _df1, dfd = f_statistic(
+                [sums[i], sums[j]], [counts[i], counts[j]],
+                sqsums[i] + sqsums[j], sums[i] + sums[j], n,
+            )
+            statistics.append(f)
+            df2.append(dfd)
+        p = fdtrc(1, df2, statistics)
+        best = int(np.argmax(p))
+        if p[best] < merge_alpha:
+            break
+        i, j = pairs[best]
+        groups[i] = groups[i] + groups[j]
+        sums[i] = _ordered_sum([level_sums[level] for level in groups[i]])
+        sqsums[i] = _ordered_sum([level_sqsums[level] for level in groups[i]])
+        counts[i] += counts[j]
+        del groups[j], sums[j], sqsums[j], counts[j]
+    return groups
+
+
+def _fold_small_groups(
+    groups: list[list[int]], sizes: list[int], min_leaf: int
+) -> list[list[int]] | None:
+    """Fold groups below ``min_leaf`` rows into the largest group (first
+    smallest into first largest); None unless two or more groups of
+    ``min_leaf`` rows remain."""
+    while len(groups) > 2 and min(sizes) < min_leaf:
+        small = sizes.index(min(sizes))
+        large = sizes.index(max(sizes))
+        if small == large:
+            break
+        groups[large] = groups[large] + groups[small]
+        sizes[large] += sizes[small]
+        del groups[small], sizes[small]
+    if len(groups) < 2 or min(sizes) < min_leaf:
+        return None
+    return groups
+
+
+def best_nominal_splits(
+    names: list[str],
+    codes: np.ndarray,
+    n_levels: list[int],
+    target: np.ndarray,
+    mode: str,
+    min_leaf: int,
+    merge_alpha: float = 0.10,
+    bonferroni: bool = True,
+) -> list[SplitCandidate | None]:
+    """Best CHAID split of each of F nominal features of one node.
+
+    ``codes`` is an F×m block: row f holds feature f's level codes in
+    ``range(n_levels[f])`` (−1 for missing) over the node's m rows, and
+    ``target`` holds the target (0/1 for ``mode="chi2"``, interval for
+    ``"f"``) over the same rows.  Observed levels start as their own
+    branches; the most similar pair of groups merges while its pairwise
+    test has p ≥ ``merge_alpha``, then groups below ``min_leaf`` rows
+    fold into the largest.  A feature gets None when fewer than
+    ``2 * min_leaf`` of its rows are present or fewer than two groups
+    remain.
+    """
+    n_features, m = codes.shape
+    splits: list[SplitCandidate | None] = [None] * n_features
+    if n_features == 0:
+        return splits
+    width = max(max(n_levels), 1)
+    present = codes >= 0
+    n_present = present.sum(axis=1)
+    # One bincount per statistic over (feature, level) keys.  A bin adds
+    # its rows in row order, as a bincount over one feature does.
+    keys = (codes + width * np.arange(n_features)[:, None])[present]
+    rows = np.broadcast_to(target, codes.shape)[present]
+    size = n_features * width
+    if mode == "chi2":
+        stats = (
+            np.bincount(keys[rows == 1], minlength=size),
+            np.bincount(keys[rows == 0], minlength=size),
+        )
+    else:
+        stats = (
+            np.bincount(keys, minlength=size),
+            np.bincount(keys, weights=rows, minlength=size),
+            np.bincount(keys, weights=rows * rows, minlength=size),
+        )
+    per_feature = [
+        s.astype(np.float64).reshape(n_features, width).tolist() for s in stats
+    ]
+
+    scored = []
+    for f in range(n_features):
+        if n_present[f] < 2 * min_leaf:
+            continue
+        levels = n_levels[f]
+        if mode == "chi2":
+            pos, neg = (s[f][:levels] for s in per_feature)
+            counts = [a + b for a, b in zip(pos, neg)]
+        else:
+            counts, sums, sqsums = (s[f][:levels] for s in per_feature)
+        observed = [level for level in range(levels) if counts[level] > 0]
+        if len(observed) < 2:
+            continue
+        singles = [[level] for level in observed]
+        if mode == "chi2":
+            groups = _merge_chi2(
+                singles, [pos[v] for v in observed], [neg[v] for v in observed],
+                merge_alpha,
+            )
+        else:
+            groups = _merge_f(
+                singles, sums, sqsums, [counts[v] for v in observed], merge_alpha
+            )
+        groups = _fold_small_groups(
+            groups, [int(sum(counts[v] for v in g)) for g in groups], min_leaf
+        )
+        if groups is None:
+            continue
+        if mode == "chi2":
+            statistic, *df = _chi2_of_groups(
+                [sum(pos[v] for v in g) for g in groups],
+                [sum(neg[v] for v in g) for g in groups],
+            )
+        else:
+            statistic, *df = f_statistic(
+                [_ordered_sum([sums[v] for v in g]) for g in groups],
+                [sum(counts[v] for v in g) for g in groups],
+                _ordered_sum(sqsums),
+                _ordered_sum(sums),
+                int(sum(counts)),
+            )
+        scored.append((f, statistic, df, groups, len(observed)))
+    if not scored:
+        return splits
+
+    # One p-value call for the node: chdtrc(dof, χ²) or fdtrc(df1, df2, F).
+    degrees = zip(*(s[2] for s in scored))
+    raw_p = (chdtrc if mode == "chi2" else fdtrc)(*degrees, [s[1] for s in scored])
+    for (f, statistic, _df, groups, n_observed), p in zip(scored, raw_p.tolist()):
+        n_candidates = max(1, n_observed - 1)
+        splits[f] = SplitCandidate(
+            feature=names[f],
+            is_numeric=False,
+            statistic=statistic,
+            p_value=_bonferroni(p, n_candidates) if bonferroni else p,
+            n_candidates=n_candidates,
+            groups=tuple(tuple(sorted(g)) for g in groups),
+            has_missing_branch=m - int(n_present[f]) >= min_leaf,
+        )
+    return splits
 
 
 def best_categorical_split_chi2(
@@ -381,87 +610,10 @@ def best_categorical_split_chi2(
     bonferroni: bool = True,
 ) -> SplitCandidate | None:
     """χ² split of a nominal feature: one branch per merged level group."""
-    present = codes >= 0
-    c = codes[present]
-    t = y[present]
-    if c.shape[0] < 2 * min_leaf:
-        return None
-    pos = np.bincount(c[t == 1], minlength=n_levels).astype(np.float64)
-    neg = np.bincount(c[t == 0], minlength=n_levels).astype(np.float64)
-    observed = np.flatnonzero(pos + neg > 0)
-    if observed.size < 2:
-        return None
-    groups = _merge_groups_chi2(
-        [[int(level)] for level in observed], pos, neg, merge_alpha
-    )
-    # Fold groups below min_leaf into the largest group.
-    sizes = [int((pos[g] + neg[g]).sum()) for g in groups]
-    while len(groups) > 2 and min(sizes) < min_leaf:
-        small = int(np.argmin(sizes))
-        large = int(np.argmax(sizes))
-        if small == large:
-            break
-        groups[large] = groups[large] + groups[small]
-        del groups[small]
-        sizes = [int((pos[g] + neg[g]).sum()) for g in groups]
-    if len(groups) < 2 or min(sizes) < min_leaf:
-        return None
-    table = np.array(
-        [[pos[g].sum(), neg[g].sum()] for g in groups], dtype=np.float64
-    )
-    chi2, raw_p, _dof = chi_square_table(table)
-    n_candidates = max(1, observed.size - 1)
-    p = _bonferroni(raw_p, n_candidates) if bonferroni else raw_p
-    n_missing = int((~present).sum())
-    return SplitCandidate(
-        feature=feature_name,
-        is_numeric=False,
-        statistic=chi2,
-        p_value=p,
-        n_candidates=n_candidates,
-        groups=tuple(tuple(sorted(g)) for g in groups),
-        has_missing_branch=n_missing >= min_leaf,
-    )
-
-
-def _merge_groups_f(
-    groups: list[list[int]],
-    sums: np.ndarray,
-    sqsums: np.ndarray,
-    counts: np.ndarray,
-    merge_alpha: float,
-) -> list[list[int]]:
-    """Greedy merge of level groups with the least-significant mean gap.
-
-    Each step tests every pair (i < j) at once and merges the first pair,
-    in (i, j) order, with the highest p-value.
-    """
-    while len(groups) > 2:
-        # Per-group sums in list order: merging groups is not exact in
-        # floating point, so they are recomputed rather than added up.
-        group_sums = np.array([sums[g].sum() for g in groups])
-        group_sqsums = np.array([sqsums[g].sum() for g in groups])
-        group_counts = np.array([counts[g].sum() for g in groups])
-        first, second = np.triu_indices(len(groups), 1)
-        total_n = (group_counts[first] + group_counts[second]).astype(np.int64)
-        total_sum = group_sums[first] + group_sums[second]
-        df2 = np.maximum(total_n - 2, 1)
-        f = _anova_f(
-            np.stack([group_sums[first], group_sums[second]], axis=-1),
-            np.stack([group_counts[first], group_counts[second]], axis=-1),
-            group_sqsums[first] + group_sqsums[second],
-            np.array([_grand_mean_ss(s, n) for s, n in zip(total_sum, total_n)]),
-            1,
-            df2,
-        )
-        p = fdtrc(1, df2, f)
-        best = int(np.argmax(p))
-        if p[best] < merge_alpha:
-            break
-        i, j = int(first[best]), int(second[best])
-        groups[i] = groups[i] + groups[j]
-        del groups[j]
-    return groups
+    return best_nominal_splits(
+        [feature_name], codes[None, :], [n_levels], y, "chi2", min_leaf,
+        merge_alpha, bonferroni,
+    )[0]
 
 
 def best_categorical_split_f(
@@ -474,51 +626,7 @@ def best_categorical_split_f(
     bonferroni: bool = True,
 ) -> SplitCandidate | None:
     """F-test split of a nominal feature on an interval target."""
-    present = codes >= 0
-    c = codes[present]
-    t = y[present]
-    if c.shape[0] < 2 * min_leaf:
-        return None
-    counts = np.bincount(c, minlength=n_levels).astype(np.float64)
-    sums = np.bincount(c, weights=t, minlength=n_levels)
-    sqsums = np.bincount(c, weights=t**2, minlength=n_levels)
-    observed = np.flatnonzero(counts > 0)
-    if observed.size < 2:
-        return None
-    groups = _merge_groups_f(
-        [[int(level)] for level in observed], sums, sqsums, counts, merge_alpha
-    )
-    sizes = [int(counts[g].sum()) for g in groups]
-    while len(groups) > 2 and min(sizes) < min_leaf:
-        small = int(np.argmin(sizes))
-        large = int(np.argmax(sizes))
-        if small == large:
-            break
-        groups[large] = groups[large] + groups[small]
-        del groups[small]
-        sizes = [int(counts[g].sum()) for g in groups]
-    if len(groups) < 2 or min(sizes) < min_leaf:
-        return None
-    group_sums = np.array([sums[g].sum() for g in groups])
-    group_counts = np.array([counts[g].sum() for g in groups])
-    f, df1, df2 = f_statistic(
-        group_sums,
-        group_counts,
-        float(sqsums.sum()),
-        float(sums.sum()),
-        int(counts.sum()),
-    )
-    statistic = float(f)
-    raw_p = float(fdtrc(df1, df2, statistic))
-    n_candidates = max(1, observed.size - 1)
-    p = _bonferroni(raw_p, n_candidates) if bonferroni else raw_p
-    n_missing = int((~present).sum())
-    return SplitCandidate(
-        feature=feature_name,
-        is_numeric=False,
-        statistic=statistic,
-        p_value=p,
-        n_candidates=n_candidates,
-        groups=tuple(tuple(sorted(g)) for g in groups),
-        has_missing_branch=n_missing >= min_leaf,
-    )
+    return best_nominal_splits(
+        [feature_name], codes[None, :], [n_levels], y, "f", min_leaf,
+        merge_alpha, bonferroni,
+    )[0]

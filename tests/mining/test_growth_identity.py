@@ -17,8 +17,10 @@ from repro.datatable import CategoricalColumn, DataTable, NumericColumn
 from repro.mining.features import FeatureSet
 from repro.mining.tree import TreeConfig, grow_tree, iter_nodes
 from repro.mining.tree.splitting import (
+    _ordered_sum,
     best_categorical_split_chi2,
     best_categorical_split_f,
+    best_nominal_splits,
     best_numeric_split_chi2,
     best_numeric_split_f,
 )
@@ -79,7 +81,9 @@ def _numeric_column(gen, n):
 
 
 def _nominal_codes(gen, n):
-    n_levels = int(gen.integers(1, 7))
+    # Up to 12 levels, so that merge groups and level totals reach the 8
+    # terms from which numpy sums pairwise.
+    n_levels = int(gen.integers(1, 13))
     codes = gen.integers(0, n_levels, n)
     codes[gen.random(n) < gen.choice([0.0, 0.1, 0.4])] = -1
     return codes, n_levels
@@ -223,6 +227,33 @@ def test_f_split_squares_the_total_like_the_reference():
     assert _split_key(ours) == _split_key(ref)
 
 
+def test_nominal_f_split_squares_group_sums_like_the_reference():
+    """Levels 0 and 2 merge, and their sum squares to different last bits
+    under ``x*x`` (numpy's ``**2``) and libm ``pow``.  The node's F must
+    square it as the reference does."""
+    codes = np.array([0, 1, 2, 0, 1, 2])
+    y = np.array([5.91, 5.35, 5.7, 5.48, 2.57, 9.13])
+    merged = float(np.bincount(codes, weights=y)[[0, 2]].sum())
+    assert merged * merged != merged**2
+    args = ("c", codes, 3, y, 1, 0.01, True)
+    ours = best_categorical_split_f(*args)
+    assert ours.groups == ((0, 2), (1,))
+    assert _split_key(ours) == _split_key(reference.best_categorical_split_f(*args))
+
+
+def test_merged_groups_are_summed_again_in_list_order():
+    """Rule 5.  With a constant target every pair's F is 0 up to rounding,
+    so rounding picks the merges.  Adding up two groups' sums, instead of
+    summing the merged group's levels again in list order, ends in other
+    groups here."""
+    codes = np.arange(8)
+    y = np.full(8, 0.1)
+    args = ("c", codes, 8, y, 1, 0.1, True)
+    ours = best_categorical_split_f(*args)
+    assert ours.groups == ((0, 1, 2, 3, 4, 5), (6, 7))
+    assert _split_key(ours) == _split_key(reference.best_categorical_split_f(*args))
+
+
 def test_merge_ties_take_the_first_pair():
     """Three levels with equal rates and equal means: every pair ties at
     p = 1, and the merge takes the first pair in (i, j) order."""
@@ -236,3 +267,62 @@ def test_merge_ties_take_the_first_pair():
         args = ("c", codes, 3, y, 5, 0.1, True)
         assert ours(*args).groups == ((0, 1), (2,))
         assert _split_key(ours(*args)) == _split_key(ref(*args))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    n_features=st.integers(1, 5),
+    min_leaf=st.integers(1, 30),
+    merge_alpha=st.sampled_from([0.01, 0.1, 0.6, 1.0]),
+    bonferroni=st.booleans(),
+)
+def test_nominal_block_matches_reference_per_feature(
+    seed, n, n_features, min_leaf, merge_alpha, bonferroni
+):
+    """One block call over F nominal features gives each feature the
+    reference's split of that feature alone."""
+    gen = np.random.default_rng(seed)
+    columns = [_nominal_codes(gen, n) for _ in range(n_features)]
+    signal = sum(_level_effects(gen, k)[codes] for codes, k in columns)
+    labels = (signal + gen.normal(0, 1, n) > 0).astype(np.int64)
+    target = (signal + gen.normal(0, 1, n) + gen.choice([0.0, 50.0])) * (
+        10.0 ** gen.uniform(-2, 3)
+    )
+    codes = np.array([c for c, _k in columns])
+    n_levels = [k for _c, k in columns]
+    names = [f"c{f}" for f in range(n_features)]
+    for mode, ref, y in (
+        ("chi2", reference.best_categorical_split_chi2, labels),
+        ("f", reference.best_categorical_split_f, target),
+    ):
+        ours = best_nominal_splits(
+            names, codes, n_levels, y, mode, min_leaf, merge_alpha, bonferroni
+        )
+        assert [_split_key(split) for split in ours] == [
+            _split_key(
+                ref(name, c, k, y, min_leaf, merge_alpha, bonferroni)
+            )
+            for name, (c, k) in zip(names, columns)
+        ]
+
+
+@pytest.mark.parametrize("length", range(1, 13))
+def test_ordered_sum_is_ndarray_sum(length):
+    """``_ordered_sum`` is ``ndarray.sum()`` bit for bit.  Below 8 terms
+    that sum is a left-to-right fold from 0.0, which ``_ordered_sum``
+    does in Python floats; from 8 terms on numpy sums pairwise, and the
+    fold differs."""
+    gen = np.random.default_rng(length)
+    fold_differs = False
+    for _ in range(2000):
+        values = gen.normal(0, 1, length) * 10.0 ** gen.uniform(-6, 6, length)
+        folded = 0.0
+        for value in values.tolist():
+            folded += value
+        assert _ordered_sum(values.tolist()).hex() == float(values.sum()).hex()
+        if length < 8:
+            assert folded.hex() == float(values.sum()).hex()
+        fold_differs |= folded != values.sum()
+    assert fold_differs == (length >= 8)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datatable import CategoricalColumn, DataTable, NumericColumn
 from repro.exceptions import FitError, NotFittedError
 from repro.mining import KMeans
+from repro.mining.kmeans import _pairwise_sq
 
 
 def blob_table(n_per=120, seed=0):
@@ -111,3 +114,77 @@ class TestKMeans:
         model = KMeans(n_clusters=10, seed=3, n_init=1).fit(table)
         assignment = model.predict(table)
         assert assignment.shape == (12,)
+
+
+def _reference_lloyd(model, x, rng):
+    """The per-cluster Lloyd loop that the bincount update replaced, kept
+    as the reference.  Also reports whether any cluster emptied."""
+    centroids = model._kmeanspp(x, rng)
+    emptied = False
+    iterations = 0
+    for iterations in range(1, model.max_iterations + 1):
+        distances = _pairwise_sq(x, centroids)
+        assignment = distances.argmin(axis=1)
+        new_centroids = centroids.copy()
+        for k in range(model.n_clusters):
+            members = assignment == k
+            if members.any():
+                new_centroids[k] = x[members].mean(axis=0)
+            else:
+                emptied = True
+                worst = int(distances.min(axis=1).argmax())
+                new_centroids[k] = x[worst]
+        shift = float(np.abs(new_centroids - centroids).max())
+        centroids = new_centroids
+        if shift < model.tolerance:
+            break
+    distances = _pairwise_sq(x, centroids)
+    inertia = float(distances.min(axis=1).sum())
+    return centroids, inertia, iterations, emptied
+
+
+def _lloyd_pair(seed, n, d, k, ties):
+    gen = np.random.default_rng(seed)
+    if ties:  # few distinct rows: k-means++ repeats points, clusters empty
+        pool = gen.integers(0, 3, (int(gen.integers(1, 6)), d)).astype(float)
+        x = pool[gen.integers(0, len(pool), n)]
+    else:
+        x = gen.normal(0, 1, (n, d)) * 10.0 ** gen.uniform(-3, 3)
+    model = KMeans(n_clusters=k, max_iterations=int(gen.integers(1, 30)))
+    ours = model._lloyd(x, np.random.default_rng(seed))
+    ref = _reference_lloyd(model, x, np.random.default_rng(seed))
+    return ours, ref
+
+
+def _same_fit(ours, ref):
+    centroids, inertia, iterations = ours
+    assert centroids.tobytes() == ref[0].tobytes()
+    assert inertia.hex() == ref[1].hex()
+    assert iterations == ref[2]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    d=st.integers(1, 9),
+    k=st.integers(1, 12),
+    ties=st.booleans(),
+)
+def test_lloyd_matches_the_per_cluster_loop(seed, n, d, k, ties):
+    """Centroids, inertia and iterations bit for bit, one column included
+    (numpy sums a single column pairwise)."""
+    ours, ref = _lloyd_pair(seed, max(n, k), d, k, ties)
+    _same_fit(ours, ref)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_lloyd_reseeds_empty_clusters_like_the_loop(d):
+    """Cases where clusters empty: every empty cluster takes the same
+    worst-served point, as in the loop."""
+    emptied = 0
+    for seed in range(40):
+        ours, ref = _lloyd_pair(seed, 30, d, 10, ties=True)
+        _same_fit(ours, ref)
+        emptied += ref[3]
+    assert emptied > 0

@@ -35,6 +35,24 @@ class TestTreeConfig:
             TreeConfig(max_candidates=max_candidates)
         assert TreeConfig(max_candidates=1).max_candidates == 1
 
+    @pytest.mark.parametrize("merge_alpha", [0.0, -1.0, 1.5, float("nan")])
+    def test_merge_alpha_must_be_a_probability(self, merge_alpha):
+        # 1.5 used to disable CHAID merging silently, and 0, negative
+        # values and NaN merged every nominal attribute down to two groups.
+        with pytest.raises(ConfigurationError, match="merge_alpha"):
+            TreeConfig(merge_alpha=merge_alpha)
+        assert TreeConfig(merge_alpha=1.0).merge_alpha == 1.0
+
+    def test_saved_model_with_bad_merge_alpha_is_rejected(self):
+        # Artefacts rebuild their config with TreeConfig(**data["config"]).
+        table, _y = make_classification_table(300, seed=5)
+        data = DecisionTreeClassifier(
+            TreeConfig(min_leaf=25, min_split=60)
+        ).fit(table, "label").to_dict()
+        data["config"]["merge_alpha"] = 1.5
+        with pytest.raises(ConfigurationError, match="merge_alpha"):
+            DecisionTreeClassifier.from_dict(data)
+
 
 class TestDecisionTree:
     def test_learns_signal(self):

@@ -1,10 +1,11 @@
-"""Golden-number regression tests for Tables 3, 4 and 5.
+"""Golden-number regression tests for Tables 3, 4 and 5 and Figure 4.
 
-The checked-in ``benchmarks/results/table{3,4,5}.txt`` artefacts were
-produced at paper scale (seed 2011, repeats=2).  These tests recompute
-every metric row through the sweep engine and pin each cell against
-the parsed golden value to 1e-9 (after the renderer's own rounding),
-so a refactor cannot silently drift the reproduction.
+The checked-in ``benchmarks/results/table{3,4,5}.txt`` and
+``figure4.txt`` artefacts were produced at paper scale (seed 2011,
+repeats=2).  These tests recompute every metric row through the sweep
+engine and pin each cell against the parsed golden value to 1e-9
+(after the renderer's own rounding), and re-render Figure 4's k-means
+cluster ranges, so a refactor cannot silently drift the reproduction.
 
 This is the most expensive test module in tier 1 (~15 s: one
 paper-scale generation plus the three sweeps); everything downstream
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import CrashPronenessStudy
-from repro.core.reporting import format_cell
+from repro.core.reporting import format_cell, render_box_ranges
 from repro.obs import SamplingProfiler
 from repro.parallel import SweepExecutor, ThresholdDatasetCache
 from repro.roads import QDTMRSyntheticGenerator, paper_scale_config
@@ -161,3 +162,28 @@ class TestGoldenTables:
         the second family must be all cache hits."""
         _, cache = engine
         assert cache.hits >= len(bayes)
+
+
+class TestGoldenFigure4:
+    def test_figure4_pinned(self, study):
+        """Every cluster's box range (min, quartiles, max, in the chart's
+        order of cluster means), the band mix and the ANOVA line, rendered
+        as ``benchmarks/bench_figure4.py`` renders them."""
+        golden = (GOLDEN_DIR / "figure4.txt").read_text().splitlines()
+        analysis = study.run_phase3(threshold=8, n_clusters=32)
+        profiles = analysis.profiles
+        chart = render_box_ranges(
+            [
+                (f"cluster {p.cluster_id:02d}", p.minimum, p.q1, p.median, p.q3, p.maximum)
+                for p in profiles
+            ],
+            title=golden[0],
+            axis_max=min(80.0, max(p.maximum for p in profiles)),
+        )
+        assert chart.splitlines() == golden[: 1 + 32]
+        assert f"band mix: {analysis.band_counts()}" in golden
+        anova = analysis.anova
+        assert (
+            f"ANOVA: F={anova.f_statistic:.1f}, p={anova.p_value:.3g}, "
+            f"eta^2={anova.eta_squared:.3f}"
+        ) in golden
