@@ -688,38 +688,41 @@ def _cmd_serve(args) -> int:
             burn_engine=burn_engine,
             profiler=profiler,
         )
-        names = ", ".join(service.registry.names()) or "none"
-        print(f"serving {len(service.registry)} scorer(s) [{names}]")
-        print(f"listening on http://{args.host}:{args.port}")
-        endpoints = (
-            "endpoints: GET /healthz | GET /models | "
-            "GET /metrics[?format=prometheus] | "
-            "POST /v1/score | POST /v1/score/batch"
-        )
-        if profiler is not None:
-            endpoints += " | GET /debug/profile[?format=json]"
-            print(
-                f"profiling: sampling every thread at "
-                f"{args.profile_hz:g} Hz"
-            )
-        if burn_engine is not None:
-            print(
-                "slo tracking: "
-                + ", ".join(burn_engine.spec_names)
-            )
-        if route_planner is not None:
-            endpoints += (
-                " | GET /v1/route/towns | POST /v1/route/score | "
-                "POST /v1/route/safest"
-            )
-            stats = route_planner.stats()
-            print(
-                f"routing: {stats['towns']} towns, {stats['routes']} "
-                f"routes, {stats['clusters']} hotspot clusters "
-                f"(seed {args.route_seed})"
-            )
-        print(endpoints)
         try:
+            # Bind before the ready lines: they name the bound port, and
+            # a client that connects on "endpoints:" finds it listening.
+            service.bind()
+            names = ", ".join(service.registry.names()) or "none"
+            print(f"serving {len(service.registry)} scorer(s) [{names}]")
+            print(f"listening on {service.url}")
+            endpoints = (
+                "endpoints: GET /healthz | GET /models | "
+                "GET /metrics[?format=prometheus] | "
+                "POST /v1/score | POST /v1/score/batch"
+            )
+            if profiler is not None:
+                endpoints += " | GET /debug/profile[?format=json]"
+                print(
+                    f"profiling: sampling every thread at "
+                    f"{args.profile_hz:g} Hz"
+                )
+            if burn_engine is not None:
+                print(
+                    "slo tracking: "
+                    + ", ".join(burn_engine.spec_names)
+                )
+            if route_planner is not None:
+                endpoints += (
+                    " | GET /v1/route/towns | POST /v1/route/score | "
+                    "POST /v1/route/safest"
+                )
+                stats = route_planner.stats()
+                print(
+                    f"routing: {stats['towns']} towns, {stats['routes']} "
+                    f"routes, {stats['clusters']} hotspot clusters "
+                    f"(seed {args.route_seed})"
+                )
+            print(endpoints, flush=True)
             service.serve_forever()
         except KeyboardInterrupt:
             print("\nshutting down")

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.datatable import CategoricalColumn, DataTable, NumericColumn
 from repro.exceptions import EvaluationError
@@ -170,6 +169,8 @@ def attribute_crash_correlations(
     include: list[str] | None = None,
 ) -> list[AttributeCorrelation]:
     """Correlate every attribute with the crash count, strongest first."""
+    from scipy import stats
+
     counts = table.numeric(count_column)
     names = include or [
         c.name

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.datatable import DataTable
 from repro.exceptions import EvaluationError
@@ -79,6 +78,8 @@ def wet_dry_analysis(
     ``crash_instances`` is one row per crash with the segment's F60 and
     the crash's surface condition ('wet' / 'dry').
     """
+    from scipy import stats
+
     condition = crash_instances.categorical(condition_column)
     if "wet" not in condition.labels or "dry" not in condition.labels:
         raise EvaluationError(

@@ -5,7 +5,10 @@ resulting ANOVA p-value of 0 provided strong evidence to dismiss the
 assumption of equality of the means".  The statistic is implemented
 directly (and cross-checked against ``scipy.stats.f_oneway`` in the
 test suite) so that the cluster-analysis module has no hidden model
-dependencies.
+dependencies.  The p-value is ``scipy.special.fdtrc``, the function
+``scipy.stats.f.sf`` evaluates for a finite F >= 0 (DESIGN.md §15),
+imported inside :func:`one_way_anova` so that importing this module,
+and with it :mod:`repro`, does not load scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import EvaluationError
 
@@ -72,8 +74,10 @@ def one_way_anova(groups: Sequence[np.ndarray]) -> AnovaResult:
         else:
             f_value, p_value = float("inf"), 0.0
     else:
+        from scipy.special import fdtrc
+
         f_value = (ss_between / df_between) / (ss_within / df_within)
-        p_value = float(stats.f.sf(f_value, df_between, df_within))
+        p_value = float(fdtrc(df_between, df_within, f_value))
     return AnovaResult(
         f_statistic=float(f_value),
         p_value=float(p_value),

@@ -29,7 +29,8 @@ thresholds examined, the classical CHAID multiplicity correction.  They
 come from ``scipy.special.chdtrc`` / ``fdtrc``, the functions that
 ``scipy.stats.chi2.sf`` / ``f.sf`` evaluate for a finite statistic
 x >= 0, without the per-call argument handling of the distribution
-objects.
+objects.  Each function that calls them imports them itself, so that
+importing this module (and scoring with a fitted tree) loads no scipy.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, fdtrc
 
 __all__ = [
     "SplitCandidate",
@@ -117,6 +117,8 @@ def chi_square_2x2(
 
 def chi_square_table(table: np.ndarray) -> tuple[float, float, int]:
     """Pearson χ², p-value and dof of an r×c contingency table."""
+    from scipy.special import chdtrc
+
     table = np.asarray(table, dtype=np.float64)
     row = table.sum(axis=1, keepdims=True)
     col = table.sum(axis=0, keepdims=True)
@@ -236,6 +238,8 @@ def best_numeric_splits(
     feature gets its highest-statistic candidate (the first on ties), or
     None when it has no admissible boundary.
     """
+    from scipy.special import chdtrc, fdtrc
+
     n_features, m = values.shape
     splits: list[SplitCandidate | None] = [None] * n_features
     n_present = m - np.isnan(values).sum(axis=1)
@@ -414,6 +418,8 @@ def _merge_chi2(
     (i, j) order, with the highest p-value.  ``pos`` and ``neg`` hold the
     groups' counts, which add up exactly when groups merge.
     """
+    from scipy.special import chdtrc
+
     while len(groups) > 2:
         pairs = list(itertools.combinations(range(len(groups)), 2))
         p = chdtrc(1, [_chi2_2x2(pos[i], neg[i], pos[j], neg[j]) for i, j in pairs])
@@ -443,6 +449,8 @@ def _merge_f(
     summed again over its levels in list order, because float addition
     is not associative and adding the two groups' sums could differ.
     """
+    from scipy.special import fdtrc
+
     sums = [level_sums[g[0]] for g in groups]
     sqsums = [level_sqsums[g[0]] for g in groups]
     while len(groups) > 2:
@@ -511,6 +519,8 @@ def best_nominal_splits(
     ``2 * min_leaf`` of its rows are present or fewer than two groups
     remain.
     """
+    from scipy.special import chdtrc, fdtrc
+
     n_features, m = codes.shape
     splits: list[SplitCandidate | None] = [None] * n_features
     if n_features == 0:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import CalibrationError
 from repro.roads.crashes import CrashProcess, CrashProcessParams
@@ -166,6 +165,8 @@ def calibrate_crash_process(
     evaluation simulates the same probe network with the same inner
     seed, so the objective is deterministic in the decision variables.
     """
+    from scipy import optimize
+
     base = base_params or CrashProcessParams()
     unknown = [p for p in free_parameters if p not in _LOG_SCALE]
     if unknown:

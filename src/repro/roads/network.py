@@ -9,21 +9,29 @@ carry only the topological facts (class, terrain, region, urbanisation);
 :mod:`repro.roads.segments` later dresses the skeletons with correlated
 condition attributes.
 
-networkx is used for the graph construction so the network object stays
-queryable (e.g. the hotspot example maps crash-prone segments back onto
-routes between named towns).
+networkx computes the Euclidean minimum spanning tree behind the
+backbone, and :attr:`RoadNetwork.graph` keeps the towns and routes as an
+``nx.Graph`` for :meth:`RoadNetwork.is_connected`.  Lookups such as
+:meth:`RoadNetwork.route_endpoints` (the hotspot example maps
+crash-prone segments back onto routes between named towns this way) use
+plain dict indexes.  networkx is imported only where a graph is built or
+checked, so importing this module, and with it :mod:`repro`, does not
+load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.roads.attributes import REGIONS, ROAD_CLASSES, TERRAIN_TYPES
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Town", "Route", "SegmentSkeleton", "RoadNetwork"]
 
@@ -70,6 +78,12 @@ class SegmentSkeleton:
     KDE hotspot baseline."""
 
 
+def _empty_graph() -> nx.Graph:
+    import networkx as nx
+
+    return nx.Graph()
+
+
 def _class_for(pop_a: int, pop_b: int, rng: np.random.Generator) -> str:
     """Pick a functional class from the populations of the end towns."""
     smaller = min(pop_a, pop_b)
@@ -89,7 +103,7 @@ class RoadNetwork:
 
     towns: list[Town] = field(default_factory=list)
     routes: list[Route] = field(default_factory=list)
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    graph: nx.Graph = field(default_factory=_empty_graph)
     _skeletons: list[SegmentSkeleton] = field(default_factory=list)
     # Lookup indexes, built once on first use and rebuilt only if the
     # backing list has grown (generation appends; nothing mutates after).
@@ -129,6 +143,8 @@ class RoadNetwork:
             Extra edges (as a fraction of ``n_towns``) added on top of
             the minimum spanning tree to create alternative routes.
         """
+        import networkx as nx
+
         if n_towns < 2:
             raise ConfigurationError(f"need at least 2 towns, got {n_towns}")
         net = cls()
@@ -335,6 +351,8 @@ class RoadNetwork:
         return self._skeletons_by_id().get(int(segment_id))
 
     def is_connected(self) -> bool:
+        import networkx as nx
+
         return nx.is_connected(self.graph)
 
     def total_length_km(self) -> float:

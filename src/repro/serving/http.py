@@ -728,11 +728,23 @@ class ScoringService:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def start(self) -> "ScoringService":
-        """Serve on a background thread (tests, benchmarks)."""
+    def bind(self) -> "ScoringService":
+        """Bind the listening socket without serving yet.
+
+        :attr:`port` is then the bound port (``port=0`` picks an
+        ephemeral one), and connections wait in the listen backlog until
+        :meth:`serve_forever` accepts them.  The CLI binds before it
+        prints its ready lines, so a client that connects on them is
+        never refused.
+        """
         if self._server is not None:
             raise ServingError("service is already running")
         self._server = self._make_server()
+        return self
+
+    def start(self) -> "ScoringService":
+        """Serve on a background thread (tests, benchmarks)."""
+        self.bind()
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             name="scoring-service",
@@ -742,10 +754,12 @@ class ScoringService:
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI path)."""
-        if self._server is not None:
+        """Serve on the calling thread (the CLI path), binding first
+        unless :meth:`bind` already has."""
+        if self._server is None:
+            self.bind()
+        elif self._thread is not None:
             raise ServingError("service is already running")
-        self._server = self._make_server()
         self._server.serve_forever()
 
     def close(self, drain_timeout: float = 5.0) -> None:

@@ -6,10 +6,18 @@ The acceptance contract of the serving subsystem is exercised here:
 load must be observably micro-batched (model passes with batch > 1).
 """
 
+import http.client
 import json
+import os
+import queue
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +318,55 @@ class TestHotReloadThroughService:
             assert new_engine.scorer.metadata["revision"] == 2
             # Same model weights → same probability either side of reload.
             assert second["probability"] == first["probability"]
+
+
+class TestServeCommand:
+    def test_ready_lines_name_the_bound_port_once_it_listens(self, model_dir):
+        """``serve --port 0`` binds before its ready lines, prints the
+        bound port and flushes, so one connect on ``endpoints:`` works
+        with stdout a pipe and PYTHONUNBUFFERED unset."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(model_dir), "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            text=True,
+        )
+        lines: queue.Queue = queue.Queue()
+
+        def read() -> None:
+            for line in proc.stdout:
+                lines.put(line)
+            lines.put(None)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            port = None
+            while True:
+                line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
+                assert line is not None, "serve exited before its ready lines"
+                if line.startswith("listening on "):
+                    port = int(line.rsplit(":", 1)[1])
+                if line.startswith("endpoints:"):
+                    break
+            assert port not in (None, 0)
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                connection.request("GET", "/healthz")
+                assert connection.getresponse().status == 200
+            finally:
+                connection.close()
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            reader.join(timeout=10)
+            proc.stdout.close()
