@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -688,6 +689,11 @@ def _cmd_serve(args) -> int:
             burn_engine=burn_engine,
             profiler=profiler,
         )
+        # A supervisor stops a service with SIGTERM: drain and close as
+        # on Ctrl-C.  A second signal during the drain ends the process.
+        previous_term = signal.signal(
+            signal.SIGTERM, signal.default_int_handler
+        )
         try:
             # Bind before the ready lines: they name the bound port, and
             # a client that connects on "endpoints:" finds it listening.
@@ -728,6 +734,7 @@ def _cmd_serve(args) -> int:
             print("\nshutting down")
             print(service.metrics.render())
         finally:
+            signal.signal(signal.SIGTERM, previous_term)
             if profiler is not None:
                 profiler.stop()
             service.close()

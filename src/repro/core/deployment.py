@@ -27,6 +27,7 @@ from repro.datatable import DataTable
 from repro.evaluation import train_valid_split
 from repro.exceptions import ReproError
 from repro.mining import DecisionTreeClassifier, RegressionTree, TreeConfig
+from repro.mining.tree.compile import TreePlan
 
 __all__ = ["CrashPronenessScorer", "SegmentScore", "payload_checksum"]
 
@@ -223,6 +224,13 @@ class CrashPronenessScorer:
             else:
                 schema[name] = {"kind": "categorical", "levels": list(levels)}
         return schema
+
+    def scoring_plan(self) -> TreePlan | None:
+        """The classifier's compiled plan, or ``None`` when its tree
+        does not compile.  :meth:`score` uses the same plan; the
+        serving engine evaluates it on request rows it has encoded
+        itself (:mod:`repro.serving.encoder`)."""
+        return self.model.scoring_plan()
 
     # -- persistence -------------------------------------------------------------
     def to_dict(self) -> dict:

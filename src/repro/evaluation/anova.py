@@ -66,9 +66,20 @@ def one_way_anova(groups: Sequence[np.ndarray]) -> AnovaResult:
     ss_within = float(sum(((a - a.mean()) ** 2).sum() for a in arrays))
     df_between = k - 1
     df_within = n - k
-    if ss_within == 0.0:
-        # All groups internally constant: either a perfect separation
-        # (different means → F infinite, p = 0) or no variation at all.
+    if all(a.min() == a.max() for a in arrays):
+        # Every group is constant, decided from the values: a constant
+        # group's float mean can sit an ulp off its values, leaving a
+        # ~1e-33 residue in ss_within, and tiny values can underflow
+        # ss_between to 0.  Separated groups give F = inf and p = 0, as
+        # scipy's f_oneway does; one shared value gives F = 0, p = 1.
+        ss_within = 0.0
+        if any(a[0] != arrays[0][0] for a in arrays):
+            f_value, p_value = float("inf"), 0.0
+        else:
+            ss_between = 0.0
+            f_value, p_value = 0.0, 1.0
+    elif ss_within == 0.0:
+        # Varying groups whose squared deviations all underflow.
         if ss_between == 0.0:
             f_value, p_value = 0.0, 1.0
         else:

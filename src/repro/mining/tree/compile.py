@@ -38,6 +38,7 @@ behavioural change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from repro.obs.trace import span as obs_span
 __all__ = [
     "PLAN_FORMAT_VERSION",
     "PlanInput",
+    "PlanRows",
     "TreePlan",
     "compile_tree",
     "plan_inputs",
@@ -75,6 +77,28 @@ class PlanInput:
     name: str
     is_numeric: bool
     n_levels: int = 0
+
+
+class PlanRows:
+    """Rows laid out as a plan's evaluation input.
+
+    ``values`` is a C-contiguous float64 ``[n_numeric, n_rows]`` block,
+    one row per numeric plan input in plan order, NaN for missing.
+    ``codes`` is a C-contiguous int64 ``[n_nominal, n_rows]`` block of
+    LUT-shifted training-vocabulary codes: 0 = missing,
+    ``1..n_levels`` = the vocabulary, ``n_levels + 1`` = unseen.  Row
+    ``f`` of a block is input column ``f``, as in the per-column lists
+    a :class:`~repro.mining.features.FeatureSet` evaluates through.
+    The serving layer's row encoder writes request rows straight into
+    one.
+    """
+
+    __slots__ = ("values", "codes", "n_rows")
+
+    def __init__(self, values: np.ndarray, codes: np.ndarray):
+        self.values = values
+        self.codes = codes
+        self.n_rows = int(values.shape[1])
 
 
 class TreePlan:
@@ -131,6 +155,18 @@ class TreePlan:
         self.max_depth = max_depth
         self._numeric_names = [i.name for i in inputs if i.is_numeric]
         self._nominal = [i for i in inputs if not i.is_numeric]
+        # Largest legal shifted code per nominal input, as uint64 so a
+        # negative code (viewed unsigned) fails the same comparison.
+        self._code_limit = np.array(
+            [[spec.n_levels + 1] for spec in self._nominal], dtype=np.uint64
+        ).reshape(len(self._nominal), 1)
+        self._bound: _kernel.BoundPlan | None = None
+
+    def __getstate__(self) -> dict:
+        # The native binding holds this process's addresses.
+        state = dict(self.__dict__)
+        state["_bound"] = None
+        return state
 
     @property
     def n_nodes(self) -> int:
@@ -145,7 +181,8 @@ class TreePlan:
         Nominal codes are clipped to ``[-1, n_levels]`` and shifted by
         ``+1`` so they index a node's LUT slice directly (slot 0 =
         missing, last slot = unseen); the clip also guarantees a
-        malformed code can never index a neighbour's slice.
+        malformed code can never index a neighbour's slice.  Numeric
+        columns are the feature set's own arrays, not copies.
 
         Raises :class:`TreeCompileError` when the feature set does not
         carry every plan input with the expected measurement level —
@@ -177,20 +214,47 @@ class TreePlan:
             )
         return numeric_cols, code_cols
 
+    def _check(self, rows: PlanRows) -> None:
+        """Refuse a block the kernel could read outside its buffers:
+        wrong dtype, layout or shape, or a code outside its LUT slice."""
+        values, codes = rows.values, rows.codes
+        n = rows.n_rows
+        if (
+            values.dtype != np.float64
+            or codes.dtype != np.int64
+            or not values.flags.c_contiguous
+            or not codes.flags.c_contiguous
+            or values.shape != (len(self._numeric_names), n)
+            or codes.shape != (len(self._nominal), n)
+        ):
+            raise TreeCompileError(
+                "rows do not match the plan's input layout"
+            )
+        if codes.size and (codes.view(np.uint64) > self._code_limit).any():
+            raise TreeCompileError(
+                "a nominal code lies outside its lookup-table slice"
+            )
+
     def evaluate(
-        self, features: FeatureSet, backend: str | None = None
+        self, features: FeatureSet | PlanRows, backend: str | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Route every row to a leaf via the flat arrays.
 
-        Returns ``(predictions, leaf_ids)`` exactly as
-        :func:`~repro.mining.tree.structure.route_rows` would.
+        ``features`` is a feature set or a :class:`PlanRows` block
+        already in the plan's layout, which is checked before either
+        backend reads it.  Returns ``(predictions, leaf_ids)`` exactly
+        as :func:`~repro.mining.tree.structure.route_rows` would.
 
         ``backend`` pins the evaluator to ``"native"`` or ``"numpy"``
         (benchmarks and parity tests); the default picks the native
         kernel when available.  Pinning ``"native"`` on a host without
         a kernel raises :class:`TreeCompileError`.
         """
-        numeric_cols, code_cols = self._columns(features)
+        if isinstance(features, PlanRows):
+            self._check(features)
+            numeric_cols, code_cols = features.values, features.codes
+        else:
+            numeric_cols, code_cols = self._columns(features)
         n = features.n_rows
         if backend not in (None, "native", "numpy"):
             raise TreeCompileError(f"unknown plan backend {backend!r}")
@@ -203,21 +267,10 @@ class TreePlan:
                     backend="native",
                     nodes=self.n_nodes,
                 ):
-                    return native.score_block(
-                        kind=self.kind,
-                        feature=self.feature,
-                        threshold=self.threshold,
-                        le_child=self.le_child,
-                        gt_child=self.gt_child,
-                        nan_child=self.nan_child,
-                        lut_offset=self.lut_offset,
-                        lut=self.lut,
-                        prediction=self.prediction,
-                        node_id=self.node_id,
-                        numeric_cols=numeric_cols,
-                        code_cols=code_cols,
-                        n_rows=n,
-                    )
+                    bound = self._bound
+                    if bound is None:
+                        bound = self._bound = native.bind(self)
+                    return bound(numeric_cols, code_cols, n)
             if backend == "native":
                 raise TreeCompileError(
                     "native kernel requested but unavailable: "
@@ -230,8 +283,8 @@ class TreePlan:
 
     def _evaluate_numpy(
         self,
-        numeric_cols: list[np.ndarray],
-        code_cols: list[np.ndarray],
+        numeric_cols: Sequence[np.ndarray],
+        code_cols: Sequence[np.ndarray],
         n: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Mask-propagation evaluator: push one boolean membership mask

@@ -9,11 +9,14 @@ system C compiler and loaded through :mod:`ctypes`.
 The C source is generic — one function that walks any plan — so the
 shared object is compiled a single time and cached under a
 content-addressed file name; every process (including the study's
-sweep pool workers) just ``dlopen``\\ s the cached artefact.  When no C
-compiler is available, the build fails, or ``REPRO_NO_NATIVE_KERNEL``
-is set, :func:`native_kernel` returns ``None`` and callers fall back
-to the pure-numpy block evaluator, so the native path is strictly an
-accelerator and never a behavioural dependency.
+sweep pool workers) just ``dlopen``\\ s the cached artefact.  A
+plan's ten arrays are bound into the kernel once
+(:meth:`NativeKernel.bind`), so a call marshals only the row block,
+the row count and the outputs.  When no C compiler is available, the
+build fails, or ``REPRO_NO_NATIVE_KERNEL`` is set, :func:`native_kernel`
+returns ``None`` and callers fall back to the pure-numpy block
+evaluator, so the native path is strictly an accelerator and never a
+behavioural dependency.
 
 Semantics match the numpy evaluator bit for bit: IEEE-754 double
 comparisons (``v <= t`` and ``v > t`` are both false for NaN, which
@@ -30,12 +33,18 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import KernelBuildError
+from repro.exceptions import KernelBuildError, TreeCompileError
 
-__all__ = ["NativeKernel", "native_kernel", "native_kernel_status"]
+__all__ = [
+    "BoundPlan",
+    "NativeKernel",
+    "native_kernel",
+    "native_kernel_status",
+]
 
 #: Environment switch: set to any non-empty value to force the
 #: pure-numpy evaluator (useful for parity tests and debugging).
@@ -50,22 +59,40 @@ _SOURCE = r"""
 /* Generic interpreter over a flattened tree plan.
 
    kind: 0 = leaf, 1 = numeric split, 2 = nominal split.
-   values / codes: one pointer per plan input column, each n_rows long.
-   Nominal codes arrive pre-shifted (+1) so they index the node's LUT
-   slice directly: slot 0 = missing, 1..n = vocabulary, n+1 = unseen.
+   The plan's ten arrays are bound once into a repro_plan; a call
+   passes only the rows.  values / codes: one pointer per plan input
+   column, each n_rows long.  Nominal codes arrive pre-shifted (+1) so
+   they index the node's LUT slice directly: slot 0 = missing,
+   1..n = vocabulary, n+1 = unseen.
 
    NaN routing falls out of IEEE-754: a NaN value fails both the
    "<= threshold" and "> threshold" tests and lands on nan_child.  */
+typedef struct {
+    const int8_t *kind;
+    const int32_t *feature;
+    const double *threshold;
+    const int32_t *le_child;
+    const int32_t *gt_child;
+    const int32_t *nan_child;
+    const int32_t *lut_offset;
+    const int32_t *lut;
+    const double *prediction;
+    const int64_t *node_id;
+} repro_plan;
+
 void repro_score_block(
+    const repro_plan *plan,
     const double *const *values, const int64_t *const *codes,
-    int64_t n_rows,
-    const int8_t *kind, const int32_t *feature, const double *threshold,
-    const int32_t *le_child, const int32_t *gt_child,
-    const int32_t *nan_child,
-    const int32_t *lut_offset, const int32_t *lut,
-    const double *prediction, const int64_t *node_id,
-    double *out_pred, int64_t *out_leaf)
+    int64_t n_rows, double *out_pred, int64_t *out_leaf)
 {
+    const int8_t *kind = plan->kind;
+    const int32_t *feature = plan->feature;
+    const double *threshold = plan->threshold;
+    const int32_t *le_child = plan->le_child;
+    const int32_t *gt_child = plan->gt_child;
+    const int32_t *nan_child = plan->nan_child;
+    const int32_t *lut_offset = plan->lut_offset;
+    const int32_t *lut = plan->lut;
     for (int64_t i = 0; i < n_rows; i++) {
         int32_t node = 0;
         for (;;) {
@@ -84,16 +111,92 @@ void repro_score_block(
                 node = lut[lut_offset[node] + codes[feature[node]][i]];
             }
         }
-        out_pred[i] = prediction[node];
-        out_leaf[i] = node_id[node];
+        out_pred[i] = plan->prediction[node];
+        out_leaf[i] = plan->node_id[node];
     }
 }
 """
 
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-_INT64_P = ctypes.POINTER(ctypes.c_int64)
-_INT32_P = ctypes.POINTER(ctypes.c_int32)
-_INT8_P = ctypes.POINTER(ctypes.c_int8)
+#: The plan arrays in ``repro_plan`` field order, with the dtype the C
+#: side reads each one as.
+PLAN_ARRAYS = (
+    ("kind", np.int8),
+    ("feature", np.int32),
+    ("threshold", np.float64),
+    ("le_child", np.int32),
+    ("gt_child", np.int32),
+    ("nan_child", np.int32),
+    ("lut_offset", np.int32),
+    ("lut", np.int32),
+    ("prediction", np.float64),
+    ("node_id", np.int64),
+)
+
+
+class _Plan(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_void_p) for name, _dtype in PLAN_ARRAYS]
+
+
+class BoundPlan:
+    """One plan's arrays bound into the kernel.
+
+    The ten plan pointers are marshalled once, into a ``repro_plan``
+    struct; a call passes the struct's address, the two column pointer
+    tables, the row count and the outputs.  The bound arrays are held
+    here, so their buffers outlive every call.  The struct holds this
+    process's addresses: a pickled
+    :class:`~repro.mining.tree.compile.TreePlan` leaves its binding
+    behind and binds again where it is used.
+    """
+
+    __slots__ = ("_fn", "_arrays", "_plan", "_address")
+
+    def __init__(self, fn, plan) -> None:
+        arrays = []
+        for name, dtype in PLAN_ARRAYS:
+            array = getattr(plan, name)
+            if array.dtype != dtype or not array.flags.c_contiguous:
+                raise TreeCompileError(
+                    f"plan array {name!r} must be C-contiguous {np.dtype(dtype)}"
+                )
+            arrays.append(array)
+        self._fn = fn
+        self._arrays = tuple(arrays)
+        self._plan = _Plan(*(array.ctypes.data for array in arrays))
+        self._address = ctypes.addressof(self._plan)
+
+    def __call__(
+        self,
+        values: Sequence[np.ndarray],
+        codes: Sequence[np.ndarray],
+        n_rows: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Route ``n_rows`` rows.  ``values`` holds one C-contiguous
+        float64 column per numeric input and ``codes`` one int64 column
+        of LUT-shifted codes per nominal input, each ``n_rows`` long:
+        a list of arrays, or a C-contiguous 2-D block with one input
+        per row.  The caller checks them; the C side trusts them."""
+        out_pred = np.empty(n_rows, dtype=np.float64)
+        out_leaf = np.empty(n_rows, dtype=np.int64)
+        self._fn(
+            self._address,
+            _column_pointers(values),
+            _column_pointers(codes),
+            n_rows,
+            out_pred.ctypes.data,
+            out_leaf.ctypes.data,
+        )
+        return out_pred, out_leaf
+
+
+def _column_pointers(columns: Sequence[np.ndarray]) -> ctypes.Array:
+    """The address of each column: the C side's pointer table."""
+    if isinstance(columns, np.ndarray):  # a 2-D block, one column per row
+        base, step = columns.ctypes.data, columns.strides[0]
+        addresses = [base + step * j for j in range(columns.shape[0])]
+    else:
+        addresses = [column.ctypes.data for column in columns]
+    return (ctypes.c_void_p * len(addresses))(*addresses)
 
 
 class NativeKernel:
@@ -102,51 +205,20 @@ class NativeKernel:
     def __init__(self, library: ctypes.CDLL, path: str):
         self.path = path
         self._fn = library.repro_score_block
+        self._fn.argtypes = [
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_int64,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+        ]
         self._fn.restype = None
 
-    def score_block(
-        self,
-        *,
-        kind: np.ndarray,
-        feature: np.ndarray,
-        threshold: np.ndarray,
-        le_child: np.ndarray,
-        gt_child: np.ndarray,
-        nan_child: np.ndarray,
-        lut_offset: np.ndarray,
-        lut: np.ndarray,
-        prediction: np.ndarray,
-        node_id: np.ndarray,
-        numeric_cols: list[np.ndarray],
-        code_cols: list[np.ndarray],
-        n_rows: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        out_pred = np.empty(n_rows, dtype=np.float64)
-        out_leaf = np.empty(n_rows, dtype=np.int64)
-        value_ptrs = (_DOUBLE_P * max(1, len(numeric_cols)))(
-            *(c.ctypes.data_as(_DOUBLE_P) for c in numeric_cols)
-        )
-        code_ptrs = (_INT64_P * max(1, len(code_cols)))(
-            *(c.ctypes.data_as(_INT64_P) for c in code_cols)
-        )
-        self._fn(
-            value_ptrs,
-            code_ptrs,
-            ctypes.c_int64(n_rows),
-            kind.ctypes.data_as(_INT8_P),
-            feature.ctypes.data_as(_INT32_P),
-            threshold.ctypes.data_as(_DOUBLE_P),
-            le_child.ctypes.data_as(_INT32_P),
-            gt_child.ctypes.data_as(_INT32_P),
-            nan_child.ctypes.data_as(_INT32_P),
-            lut_offset.ctypes.data_as(_INT32_P),
-            lut.ctypes.data_as(_INT32_P),
-            prediction.ctypes.data_as(_DOUBLE_P),
-            node_id.ctypes.data_as(_INT64_P),
-            out_pred.ctypes.data_as(_DOUBLE_P),
-            out_leaf.ctypes.data_as(_INT64_P),
-        )
-        return out_pred, out_leaf
+    def bind(self, plan) -> BoundPlan:
+        """Bind ``plan``'s arrays (the attributes named in
+        :data:`PLAN_ARRAYS`) for repeated calls."""
+        return BoundPlan(self._fn, plan)
 
 
 _lock = threading.Lock()

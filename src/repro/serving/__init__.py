@@ -10,10 +10,10 @@ layer, built entirely on the standard library:
     a model directory, with checksum validation and fail-loud rejection
     of stale format versions.
 :class:`~repro.serving.engine.ScoringEngine`
-    Input validation against the scorer's expected segment schema,
-    micro-batched scoring (concurrent requests coalesce into single
-    DataTable passes) and an LRU result cache keyed by canonicalised
-    rows.
+    Input validation and encoding against the scorer's expected
+    segment schema, micro-batched scoring (concurrent requests
+    coalesce into single compiled-plan passes) and an LRU result cache
+    keyed by encoded rows.
 :class:`~repro.serving.http.ScoringService`
     A ``ThreadingHTTPServer`` exposing ``/healthz``, ``/models``,
     ``/metrics``, ``/v1/score`` and ``/v1/score/batch`` as JSON, with

@@ -4,58 +4,59 @@
 :class:`~repro.core.deployment.CrashPronenessScorer` into something a
 request/response service can use:
 
-* **validation** — every request row is checked against the scorer's
-  expected input schema (missing columns, numbers where labels belong,
-  and vice versa) before it gets near the model;
-* **micro-batching** — concurrent requests' rows queue into a worker
-  that scores them as *one* DataTable pass, amortising per-call
+* **validation and encoding** — one pass of the scorer's
+  :class:`~repro.serving.encoder.RowEncoder` checks every request row
+  against the input schema (missing columns, numbers where labels
+  belong, and vice versa) and writes it straight into the compiled
+  plan's input arrays before it gets near the model;
+* **micro-batching** — each request is one queue entry, and a worker
+  scores whole requests as *one* plan evaluation, amortising per-call
   overhead exactly the way the study amortises per-threshold work.
-  The worker clocks itself: it takes every row already queued (up to
-  ``max_batch``) and waits for more only while the batch holds fewer
-  callers than the previous pass did.  A lone request is scored at
-  once; ``max_wait_ms`` caps the wait, it is not a delay every request
-  pays;
+  The worker clocks itself: it takes every request already queued (up
+  to ``max_batch`` rows, cutting a larger request into slices) and
+  waits for more only while the pass holds fewer requests than the
+  previous pass did.  A lone request is scored at once;
+  ``max_wait_ms`` caps the wait, it is not a delay every request pays;
 * **LRU result caching** — road segments re-score constantly with
-  unchanged attributes, so results are cached by canonicalised row.
+  unchanged attributes, so results are cached by encoded row.
 
 The engine is model-agnostic within the scorer contract: everything it
 needs (input names, column kinds) comes from
-``CrashPronenessScorer.input_schema()``.
+``CrashPronenessScorer.input_schema()``, and its compiled plan from
+``CrashPronenessScorer.scoring_plan()``.  A scorer whose tree does not
+compile is scored through a :class:`~repro.datatable.DataTable` and
+``scorer.score`` instead.
 """
 
 from __future__ import annotations
 
-import math
 import queue
 import threading
 import time
 from collections import OrderedDict
 from contextvars import ContextVar
+from typing import cast
+
+import numpy as np
 
 from repro.core.deployment import CrashPronenessScorer
-from repro.datatable import DataTable
 from repro.exceptions import ServingError
 from repro.obs import trace as obs_trace
 from repro.serving.bulk import build_request_table
+from repro.serving.encoder import EncodedRows, RowEncoder, join
 
 __all__ = ["LRUResultCache", "ScoringEngine", "last_queue_wait_ms"]
 
-#: Milliseconds the calling request's rows spent in the micro-batch
-#: queue, published per-context by :meth:`ScoringEngine.score_one` /
-#: :meth:`ScoringEngine.score_many` after their waits resolve.  The
-#: HTTP layer resets it per request and copies it into the access log
-#: (``queue_wait_ms``).
+#: Milliseconds the calling request spent in the micro-batch queue
+#: (until its last slice was taken), published per-context by
+#: :meth:`ScoringEngine.score_one` / :meth:`ScoringEngine.score_many`
+#: after their waits resolve.  The HTTP layer resets it per request and
+#: copies it into the access log (``queue_wait_ms``).
 last_queue_wait_ms: ContextVar[float | None] = ContextVar(
     "repro_engine_last_queue_wait_ms", default=None
 )
 
 _SHUTDOWN = object()
-
-#: Stand-in for NaN in cache keys.  ``float("nan")`` is unusable as a
-#: dict key component: NaN != NaN, so every lookup missed and every
-#: miss inserted another never-hittable entry.  The sentinel restores
-#: normal hashing while staying distinct from every real value.
-_NAN_KEY = "__nan__"
 
 
 class LRUResultCache:
@@ -103,41 +104,46 @@ class LRUResultCache:
             self.misses = 0
 
 
-class _Pending:
-    """One queued row and the event its caller blocks on.
+class _Request:
+    """One queued request: its encoded rows and the event its caller
+    blocks on.
 
-    ``caller`` is a token shared by every row of one
-    :meth:`ScoringEngine.score_one` / :meth:`ScoringEngine.score_many`
-    call; the worker counts distinct callers, not rows, when it decides
-    whether to wait for more.  ``trace_context`` is the submitting
-    request's span context (None when nobody is tracing): the
-    micro-batch worker thread runs in no request's context, so the link
-    from a request to the batch that scored its row must travel with
-    the row.  ``enqueued_at`` feeds the batch span's queue-wait
-    attribute; ``dequeued_at`` is stamped by the worker when the batch
-    starts scoring, so the waiting caller can report its own queue wait
-    after :meth:`wait` returns (the event set orders the write before
-    the read).
+    The worker takes a request whole, or in slices when it holds more
+    rows than fit in a pass; ``taken`` counts the rows handed to
+    passes.  Slices are scored in order by the one worker, so the
+    event is set when the last slice resolves, or when the request
+    fails.
+    ``trace_context`` is the submitting request's span context (None
+    when nobody is tracing): the micro-batch worker thread runs in no
+    request's context, so the link from a request to the pass that
+    scored it must travel with the entry.  ``enqueued_at`` feeds the
+    batch span's queue-wait attribute; ``dequeued_at`` is stamped by
+    the worker each time a pass takes a slice, so the waiting caller
+    can report its own queue wait after :meth:`wait` returns (the
+    event set orders the write before the read).
     """
 
     __slots__ = (
-        "row", "caller", "probability", "error", "enqueued_at",
-        "dequeued_at", "trace_context", "_event",
+        "rows", "encoded", "probabilities", "taken", "error",
+        "enqueued_at", "dequeued_at", "trace_context", "_event",
     )
 
-    def __init__(self, row: dict, caller: object, trace_context=None):
-        self.row = row
-        self.caller = caller
-        self.probability: float | None = None
+    def __init__(self, rows: list, encoded: EncodedRows, trace_context=None):
+        self.rows = rows
+        self.encoded = encoded
+        self.probabilities: list[float] = [0.0] * len(rows)
+        self.taken = 0
         self.error: Exception | None = None
         self.enqueued_at = time.monotonic()
         self.dequeued_at: float | None = None
         self.trace_context = trace_context
         self._event = threading.Event()
 
-    def resolve(self, probability: float) -> None:
-        self.probability = probability
-        self._event.set()
+    def resolve(self, start: int, probabilities: list[float]) -> None:
+        stop = start + len(probabilities)
+        self.probabilities[start:stop] = probabilities
+        if stop == len(self.rows):
+            self._event.set()
 
     def fail(self, error: Exception) -> None:
         self.error = error
@@ -151,11 +157,10 @@ class _Pending:
             return self._event.wait()
         return self._event.wait(max(0.0, deadline - time.monotonic()))
 
-    def result(self) -> float:
+    def result(self) -> list[float]:
         if self.error is not None:
             raise self.error
-        assert self.probability is not None
-        return self.probability
+        return self.probabilities
 
 
 class ScoringEngine:
@@ -168,12 +173,13 @@ class ScoringEngine:
     name:
         Label used in error messages and stats (the registry name).
     max_batch:
-        Micro-batch size cap in rows; no pass holds more.
+        Micro-batch size cap in rows; no pass holds more, and a request
+        with more rows is scored in slices.
     max_wait_ms:
         Cap on how long the worker holds an open batch for more
-        callers after taking its first row.  It is a cap, not a delay
+        requests after taking its first.  It is a cap, not a delay
         every request pays: the worker waits only while the batch has
-        fewer callers than the previous pass did, so a lone request is
+        fewer requests than the previous pass did, so a lone request is
         scored at once (see :meth:`_run`).
     cache_size:
         LRU capacity in rows; ``0`` disables the result cache.
@@ -204,7 +210,16 @@ class ScoringEngine:
         self.max_wait_ms = max_wait_ms
         self._tracer = tracer
         self.schema = scorer.input_schema()
-        self.input_names = list(self.schema)
+        self.encoder = RowEncoder(self.schema, name)
+        #: The compiled plan the engine evaluates, or None when the
+        #: scorer's tree does not compile (then passes go through
+        #: ``scorer.score`` on a DataTable).
+        self.plan = scorer.scoring_plan()
+        if self.plan is not None and self.plan.inputs != self.encoder.inputs:
+            raise ServingError(
+                f"scorer {name!r}: compiled plan inputs do not match its "
+                f"input schema"
+            )
         self.cache = LRUResultCache(cache_size)
         # Micro-batch pass statistics: three exact counters, so the
         # engine's footprint does not grow with its uptime.
@@ -222,68 +237,33 @@ class ScoringEngine:
     # -- validation --------------------------------------------------------
     def validate_row(self, row: object, index: int = 0) -> dict:
         """Check one request row against the scorer's input schema."""
-        if not isinstance(row, dict):
-            raise ServingError(
-                f"row {index} must be an object of column values, "
-                f"got {type(row).__name__}"
-            )
-        missing = [n for n in self.input_names if n not in row]
-        if missing:
-            raise ServingError(
-                f"row {index} is missing input column(s) "
-                f"{', '.join(repr(m) for m in missing)}; scorer "
-                f"{self.name!r} expects {self.input_names}"
-            )
-        for column in self.input_names:
-            value = row[column]
-            if value is None:
-                continue
-            kind = self.schema[column]["kind"]
-            if kind == "numeric":
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    raise ServingError(
-                        f"row {index} column {column!r} expects a number, "
-                        f"got {value!r}"
-                    )
-            elif not isinstance(value, str):
-                raise ServingError(
-                    f"row {index} column {column!r} expects a label, "
-                    f"got {value!r}"
-                )
-        return row
+        self.encoder.key(row, index)
+        return cast(dict, row)
 
     def canonical_key(self, row: dict) -> tuple:
-        """Cache key: input values in schema order, numerics as float.
-
-        NaN becomes a sentinel — as a raw key component it can never
-        hit (NaN compares unequal to itself), which both defeated the
-        cache for missing-value rows and let duplicates accumulate.
-        """
-        parts = []
-        for column in self.input_names:
-            value = row[column]
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                value = _NAN_KEY if math.isnan(value) else float(value)
-            parts.append(value)
-        return tuple(parts)
+        """Cache key of a valid row: its encoded values in schema order
+        (numbers as float, NaN as a sentinel, labels as their
+        training-vocabulary codes)."""
+        return self.encoder.key(row)
 
     # -- direct (already-batched) scoring ----------------------------------
     def score_rows(
-        self, rows: list[dict], validate: bool = True
+        self, rows: list[dict], encoded: EncodedRows | None = None
     ) -> list[float]:
-        """Score rows in one DataTable pass, consulting the LRU cache."""
-        if validate:
-            for i, row in enumerate(rows):
-                self.validate_row(row, i)
+        """Score rows in one pass, consulting the LRU cache.
+
+        ``encoded`` is ``rows`` as :meth:`RowEncoder.encode` left them,
+        for a pass over requests encoded when they were submitted;
+        without it the rows are validated and encoded here.
+        """
+        if encoded is None:
+            encoded = self.encoder.encode(rows)
         with obs_trace.span(
             "engine.score_rows", rows=len(rows)
         ) as score_span:
             results: list[float | None] = [None] * len(rows)
-            keys = [self.canonical_key(row) for row in rows]
             fresh: OrderedDict[tuple, list[int]] = OrderedDict()
-            for i, key in enumerate(keys):
+            for i, key in enumerate(encoded.keys):
                 cached = self.cache.get(key)
                 if cached is not None:
                     results[i] = cached
@@ -295,18 +275,19 @@ class ScoringEngine:
                 )
                 score_span.attrs["fresh_rows"] = len(fresh)
             if fresh:
-                table = self._build_table(
-                    [rows[indices[0]] for indices in fresh.values()]
+                first = [indices[0] for indices in fresh.values()]
+                probabilities = self._evaluate(
+                    [rows[i] for i in first], encoded.take(first)
                 )
-                probabilities = self.scorer.score(table)
                 if len(probabilities) != len(fresh):
                     raise ServingError(
                         f"scorer {self.name!r} returned "
                         f"{len(probabilities)} probabilities for "
                         f"{len(fresh)} distinct rows"
                     )
-                for (key, indices), p in zip(fresh.items(), probabilities):
-                    value = float(p)
+                for (key, indices), value in zip(
+                    fresh.items(), probabilities.tolist()
+                ):
                     self.cache.put(key, value)
                     for i in indices:
                         results[i] = value
@@ -324,94 +305,65 @@ class ScoringEngine:
             self.n_scored += len(rows)
             return results  # fully populated: list[float]
 
-    def _build_table(self, rows: list[dict]) -> DataTable:
-        return build_request_table(rows, self.schema)
+    def _evaluate(self, rows: list[dict], encoded: EncodedRows) -> np.ndarray:
+        """One model pass over distinct fresh rows: P(crash prone) per
+        row.  ``encoded`` holds the same rows encoded.  This is the
+        seam the serving tests wrap to hold or slow a pass."""
+        if self.plan is None:
+            return self.scorer.score(build_request_table(rows, self.schema))
+        return self.plan.evaluate(encoded.plan_rows())[0]
 
     # -- micro-batched scoring ---------------------------------------------
-    def submit(
-        self,
-        row: dict,
-        index: int = 0,
-        *,
-        caller: object = None,
-        validate: bool = True,
-    ) -> _Pending:
-        """Queue one row for the micro-batch worker.
+    def submit(self, *rows: dict) -> _Request:
+        """Validate and encode one request's rows, then queue them as
+        one entry for the micro-batch worker.
 
-        ``caller`` is the token of the request the row belongs to;
-        ``None`` makes the row a caller of its own.  ``validate=False``
-        skips the schema check for a row the caller already validated.
+        Every row is checked before the request is queued, so an
+        invalid row rejects the whole request and costs no model pass.
         """
         if self._closed:
             raise ServingError(f"engine {self.name!r} is closed")
-        if validate:
-            self.validate_row(row, index)
-        pending = _Pending(
-            row,
-            caller if caller is not None else object(),
+        request = _Request(
+            list(rows),
+            self.encoder.encode(rows),
             trace_context=obs_trace.current_context(),
         )
-        self._queue.put(pending)
-        return pending
+        self._queue.put(request)
+        return request
 
-    @staticmethod
-    def _publish_queue_wait(pendings: list[_Pending]) -> None:
-        """Set :data:`last_queue_wait_ms` to the slowest queue wait."""
-        waits = [
-            p.dequeued_at - p.enqueued_at
-            for p in pendings
-            if p.dequeued_at is not None
-        ]
-        if waits:
-            last_queue_wait_ms.set(round(1000.0 * max(waits), 3))
+    def _wait(self, request: _Request, timeout: float | None) -> list[float]:
+        """The request's probabilities, under one deadline for the call.
 
-    def _wait_all(
-        self, pendings: list[_Pending], timeout: float | None
-    ) -> list[float]:
-        """Every pending's probability, under one deadline for the call.
-
-        ``timeout`` bounds the call's whole wait, not each row's: a
-        request whose rows span several passes still waits at most
-        ``timeout`` seconds in total.
+        ``timeout`` bounds the call's whole wait, however many passes
+        its slices take.  Sets :data:`last_queue_wait_ms`.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        results = []
-        for p in pendings:
-            if not p.wait(deadline):
-                raise ServingError(
-                    f"scoring request timed out after {timeout}s"
-                )
-            results.append(p.result())
-        self._publish_queue_wait(pendings)
-        return results
+        if not request.wait(deadline):
+            raise ServingError(f"scoring request timed out after {timeout}s")
+        probabilities = request.result()
+        if request.dequeued_at is not None:
+            last_queue_wait_ms.set(
+                round(1000.0 * (request.dequeued_at - request.enqueued_at), 3)
+            )
+        return probabilities
 
     def score_one(self, row: dict, timeout: float | None = 30.0) -> float:
         """Score a single row through the micro-batcher (blocking)."""
-        return self._wait_all([self.submit(row)], timeout)[0]
+        return self._wait(self.submit(row), timeout)[0]
 
     def score_many(
         self, rows: list[dict], timeout: float | None = 30.0
     ) -> list[float]:
         """Score a request's row list through the micro-batcher.
 
-        Every row is validated before any is queued, so an invalid
-        row rejects the whole request without scoring the rows before
-        it.  All rows are queued, as one caller, before any result is
-        awaited, so one request's rows — and any concurrent requests'
-        rows — can share DataTable passes.  ``timeout`` is one deadline
-        for all of the call's rows, however many passes they take.
+        The rows are validated whole and queued as one request, which
+        can share a pass with concurrent requests.  ``timeout`` is one
+        deadline for all of the rows, however many passes they take.
         """
         if not isinstance(rows, list) or not rows:
             raise ServingError("rows must be a non-empty list of objects")
         with obs_trace.span("engine.score_many", rows=len(rows)):
-            for i, row in enumerate(rows):
-                self.validate_row(row, i)
-            caller = object()
-            pending = [
-                self.submit(row, i, caller=caller, validate=False)
-                for i, row in enumerate(rows)
-            ]
-            return self._wait_all(pending, timeout)
+            return self._wait(self.submit(*rows), timeout)
 
     # The old name of score_many, kept only because perfbench still
     # wraps this import path; delete it with that target (ROADMAP).
@@ -420,31 +372,39 @@ class ScoringEngine:
     def _run(self) -> None:
         """The micro-batch worker: one self-clocking loop.
 
-        Block for the first row, then take every row already queued,
-        up to ``max_batch``.  Wait for more only while the batch holds
-        fewer distinct callers than the previous pass did, and never
-        longer than ``max_wait_ms`` after taking the first row.  A lone
-        caller is scored at once; N closed-loop callers that shared the
-        last pass are scored as soon as the N-th arrives; when load
-        drops, one pass waits out the cap and the next expects fewer.
-        Greedy dispatch alone (never wait) splits concurrent callers
-        into many small passes and loses throughput under load.
+        Block for the first request, then take every request already
+        queued, up to ``max_batch`` rows; a request that does not fit
+        is cut, and its remaining rows open the next pass.  Wait for
+        more only while the pass holds fewer requests than the
+        previous pass did, and never longer than ``max_wait_ms`` after
+        taking the first.  A lone request is scored at once; N
+        closed-loop callers that shared the last pass are scored as
+        soon as the N-th arrives; when load drops, one pass waits out
+        the cap and the next expects fewer.  Greedy dispatch alone
+        (never wait) splits concurrent callers into many small passes
+        and loses throughput under load.
         """
         stopping = False
-        expected_callers = 0
-        while not stopping:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
+        expected = 0
+        carry: _Request | None = None
+        while True:
+            if carry is not None:
+                item, carry = carry, None
+            elif stopping:
                 break
-            batch = [item]
-            callers = {item.caller}
+            else:
+                item = self._queue.get()
+                if item is _SHUTDOWN:
+                    break
+            slices: list[tuple[_Request, int, int]] = []
+            size = self._take(item, slices, 0)
             deadline = time.monotonic() + self.max_wait_ms / 1000.0
-            while len(batch) < self.max_batch:
+            while size < self.max_batch:
                 try:
                     item = self._queue.get_nowait()
                 except queue.Empty:
                     remaining = deadline - time.monotonic()
-                    if len(callers) >= expected_callers or remaining <= 0:
+                    if len(slices) >= expected or remaining <= 0:
                         break
                     try:
                         item = self._queue.get(timeout=remaining)
@@ -453,23 +413,44 @@ class ScoringEngine:
                 if item is _SHUTDOWN:
                     stopping = True
                     break
-                batch.append(item)
-                callers.add(item.caller)
-            expected_callers = len(callers)
+                size = self._take(item, slices, size)
+            last = slices[-1][0]
+            if last.taken < len(last.rows):
+                carry = last
+            expected = len(slices)
             self.batches += 1
-            self.batched_rows += len(batch)
-            self.max_batch_observed = max(self.max_batch_observed, len(batch))
-            self._score_pendings(batch, len(callers))
+            self.batched_rows += size
+            self.max_batch_observed = max(self.max_batch_observed, size)
+            self._score_pass(slices, size)
+            if carry is not None and carry.error is not None:
+                carry = None
 
-    def _score_pendings(self, batch: list[_Pending], n_callers: int) -> None:
-        """Score one assembled micro-batch and resolve its waiters.
+    def _take(
+        self,
+        request: _Request,
+        slices: list[tuple[_Request, int, int]],
+        size: int,
+    ) -> int:
+        """Add as many of ``request``'s untaken rows as fit; returns
+        the pass's new size."""
+        start = request.taken
+        stop = min(len(request.rows), start + self.max_batch - size)
+        request.taken = stop
+        slices.append((request, start, stop))
+        return size + stop - start
+
+    def _score_pass(
+        self, slices: list[tuple[_Request, int, int]], size: int
+    ) -> None:
+        """Score one assembled pass and resolve its requests.
 
         Runs in the worker thread, which has no request context: the
-        batch span goes to the engine's own tracer and parents onto the
-        *first* pending's shipped context (the request that opened the
-        batch), carrying the batch size, that request's queue wait, the
-        number of callers, and the span contexts of the other callers
-        (``links``) so every request in the batch can find it.
+        batch span goes to the engine's own tracer and parents onto
+        the *first* request's shipped context (the request that opened
+        the pass), carrying the pass size in rows, that request's queue
+        wait, the number of requests, and the span contexts of the
+        other requests (``links``) so every request in the pass can
+        find it.
         """
         tracer = (
             self._tracer
@@ -477,39 +458,46 @@ class ScoringEngine:
             else obs_trace.get_default_tracer()
         )
         dequeued_at = time.monotonic()
-        for p in batch:
-            p.dequeued_at = dequeued_at
-        queue_wait = dequeued_at - batch[0].enqueued_at
+        for request, _start, _stop in slices:
+            request.dequeued_at = dequeued_at
+        opener = slices[0][0]
+        queue_wait = dequeued_at - opener.enqueued_at
         links: list[dict] = []
         if tracer.enabled:
-            others = {
-                p.caller: p.trace_context
-                for p in batch
-                if p.caller is not batch[0].caller
-            }
             links = [
                 {"trace_id": ctx.trace_id, "span_id": ctx.span_id}
-                for ctx in others.values()
-                if ctx is not None
+                for request, _start, _stop in slices[1:]
+                if (ctx := request.trace_context) is not None
             ]
         with obs_trace.use_tracer(tracer), tracer.span(
             "engine.batch",
-            parent=batch[0].trace_context,
-            batch_size=len(batch),
+            parent=opener.trace_context,
+            batch_size=size,
             queue_wait_ms=round(1000.0 * queue_wait, 3),
-            callers=n_callers,
+            callers=len(slices),
             links=links,
         ):
+            rows = [
+                row
+                for request, start, stop in slices
+                for row in request.rows[start:stop]
+            ]
+            encoded = join(
+                [(request.encoded, start, stop) for request, start, stop in slices]
+            )
             try:
-                probabilities = self.score_rows(
-                    [p.row for p in batch], validate=False
-                )
+                probabilities = self.score_rows(rows, encoded)
             except Exception as exc:  # pragma: no cover - defensive
-                for p in batch:
-                    p.fail(exc)
+                for request, _start, _stop in slices:
+                    request.fail(exc)
             else:
-                for p, probability in zip(batch, probabilities):
-                    p.resolve(probability)
+                offset = 0
+                for request, start, stop in slices:
+                    width = stop - start
+                    request.resolve(
+                        start, probabilities[offset : offset + width]
+                    )
+                    offset += width
 
     # -- lifecycle & stats -------------------------------------------------
     def close(self) -> None:

@@ -16,7 +16,7 @@ behind a :class:`http.server.ThreadingHTTPServer`:
 * ``POST /v1/score``         — ``{"model": ..., "row": {...}}`` → one
   probability (concurrent calls micro-batch inside the engine);
 * ``POST /v1/score/batch``   — ``{"model": ..., "rows": [...]}`` → a
-  probability per row, scored in shared DataTable passes.
+  probability per row, scored in shared micro-batch passes.
 
 One handler thread per connection (ThreadingHTTPServer) feeds the
 engines' micro-batch queues, which is where the concurrency pays off:
@@ -572,7 +572,9 @@ class ScoringService:
                             return 499, None, "client_abort"
                         try:
                             body = json.loads(raw) if raw else {}
-                        except json.JSONDecodeError as exc:
+                        except ValueError as exc:
+                            # A JSONDecodeError, or the plain ValueError
+                            # int() raises past Python's digit limit.
                             raise ServingError(
                                 f"request body is not valid JSON: {exc}"
                             ) from exc

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -124,6 +124,25 @@ class TestAnovaProperties:
         assert result.p_value == 1.0
 
     @settings(max_examples=200, deadline=None)
+    @given(groups=st.lists(_constant_group, min_size=2, max_size=6))
+    @example(groups=[[0.1] * 3, [0.2] * 3])
+    def test_constant_groups_match_f_oneway(self, groups):
+        """Constant groups give F = inf and p = 0 as ``f_oneway`` does,
+        or F = 0 and p = 1 when every group holds one value, even when
+        a group's float mean is an ulp off its values (0.1 * 3 / 3)."""
+        result = one_way_anova([np.array(g) for g in groups])
+        assert result.ss_within == 0.0
+        if len({g[0] for g in groups}) == 1:
+            assert (result.f_statistic, result.p_value) == (0.0, 1.0)
+            assert result.ss_between == 0.0
+        else:
+            expected = stats.f_oneway(*groups)
+            assert (result.f_statistic, result.p_value) == (
+                expected.statistic,
+                expected.pvalue,
+            ) == (math.inf, 0.0)
+
+    @settings(max_examples=200, deadline=None)
     @given(
         groups=st.lists(
             st.lists(st.integers(-1000, 1000), min_size=2, max_size=50),
@@ -136,10 +155,7 @@ class TestAnovaProperties:
     )
     def test_affine_rescaling_keeps_f_and_p(self, groups, exponent, negative, shift):
         """F and p are invariant under x -> a*x + b, a != 0, up to
-        rounding.  At least one group must vary: all-constant groups
-        give F = inf only while each group's float mean equals its
-        values, and an affine map can move a mean by an ulp."""
-        assume(any(len(set(g)) > 1 for g in groups))
+        rounding, all-constant groups included."""
         a = (-1.0 if negative else 1.0) * 10.0**exponent
         b = a * shift
         before = one_way_anova([np.array(g, dtype=float) for g in groups])

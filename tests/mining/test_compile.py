@@ -28,7 +28,7 @@ from repro.mining.tree import (
     compile_tree,
     route_rows,
 )
-from repro.mining.tree.compile import plan_inputs
+from repro.mining.tree.compile import PlanRows, plan_inputs
 
 TREE_CONFIG = TreeConfig(min_leaf=5, min_split=10, max_depth=6, max_leaves=16)
 
@@ -276,3 +276,68 @@ def test_numpy_and_native_backends_agree():
     numpy_pred, numpy_leaf = plan.evaluate(features, backend="numpy")
     assert np.array_equal(default_pred, numpy_pred)
     assert np.array_equal(default_leaf, numpy_leaf)
+
+
+class TestPlanRows:
+    """Blocks already in plan layout (what the serving encoder builds)."""
+
+    def _model(self):
+        table = _make_table(31, 120, 0.2, unseen=False)
+        model = DecisionTreeClassifier(TREE_CONFIG).fit(table, "label")
+        return model, model.scoring_plan(), _make_table(32, 60, 0.2, unseen=True)
+
+    @staticmethod
+    def _block(plan, features) -> PlanRows:
+        numeric, codes = plan._columns(features)
+        return PlanRows(np.array(numeric), np.array(codes))
+
+    def test_a_block_evaluates_like_its_feature_set(self):
+        model, plan, score = self._model()
+        features = model._features_for(score)
+        block = self._block(plan, features)
+        for backend in (None, "numpy"):
+            got = plan.evaluate(block, backend=backend)
+            expected = plan.evaluate(features, backend=backend)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda b: PlanRows(b.values, b.codes - 1),
+            lambda b: PlanRows(b.values, b.codes + 4),
+            lambda b: PlanRows(b.values[:-1], b.codes),
+            lambda b: PlanRows(b.values.astype(np.float32), b.codes),
+            lambda b: PlanRows(np.asfortranarray(b.values), b.codes),
+            lambda b: PlanRows(b.values, b.codes[:, :-1]),
+        ],
+        ids=[
+            "code-below-slot-0",
+            "code-past-unseen",
+            "missing-numeric-input",
+            "float32-values",
+            "non-contiguous-values",
+            "ragged-blocks",
+        ],
+    )
+    def test_evaluate_refuses_a_block_outside_the_layout(self, corrupt):
+        """The kernel trusts the block: every shape, dtype, layout or
+        code it could read past a buffer with is refused first."""
+        model, plan, score = self._model()
+        block = corrupt(self._block(plan, model._features_for(score)))
+        for backend in (None, "numpy"):
+            with pytest.raises(TreeCompileError):
+                plan.evaluate(block, backend=backend)
+
+    def test_a_pickled_plan_binds_again(self):
+        """The native binding holds process addresses, so a pickled plan
+        leaves it behind and evaluates identically after loading."""
+        import pickle
+
+        model, plan, score = self._model()
+        features = model._features_for(score)
+        expected = plan.evaluate(features)
+        restored = pickle.loads(pickle.dumps(plan))
+        got = restored.evaluate(features)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])

@@ -44,45 +44,45 @@ def segment_rows(small_dataset, serving_scorer) -> list[dict]:
     ]
 
 
-class GatedScorer:
-    """A scorer double whose passes block until ``gate`` is set.
+class GatedPass:
+    """A double for the engine's model pass that blocks until ``gate``
+    is set.
 
-    It delegates everything to the wrapped scorer; ``score`` first sets
-    ``in_pass`` and waits on ``gate``, then records the pass's row
-    count in ``passes``.  Holding the engine's worker inside a pass
-    lets a test queue requests behind it deterministically, instead of
-    relying on timing.
+    Installed over :meth:`ScoringEngine._evaluate`, the one call a
+    pass makes into the model (the compiled plan, or ``scorer.score``
+    when the tree does not compile).  Each call first sets ``in_pass``
+    and waits on ``gate``, then records the pass's distinct fresh row
+    count in ``passes`` and delegates.  Holding the engine's worker
+    inside a pass lets a test queue requests behind it
+    deterministically, instead of relying on timing.
     """
 
-    def __init__(self, scorer):
-        self.scorer = scorer
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
         self.gate = threading.Event()
         self.in_pass = threading.Event()
         self.passes: list[int] = []
 
-    def __getattr__(self, name):
-        return getattr(self.scorer, name)
-
-    def score(self, table):
+    def __call__(self, rows, encoded):
         self.in_pass.set()
         if not self.gate.wait(30.0):
             raise AssertionError("gate was never opened")
-        self.passes.append(table.n_rows)
-        return self.scorer.score(table)
+        self.passes.append(len(rows))
+        return self.evaluate(rows, encoded)
 
 
 @pytest.fixture()
 def gate_engine():
-    """Install a :class:`GatedScorer` on an engine; returns the gate.
+    """Install a :class:`GatedPass` on an engine; returns the gate.
 
     Every installed gate is opened at teardown, so a failing test never
     leaves an engine worker blocked.
     """
-    installed: list[GatedScorer] = []
+    installed: list[GatedPass] = []
 
-    def install(engine) -> GatedScorer:
-        gated = GatedScorer(engine.scorer)
-        engine.scorer = gated
+    def install(engine) -> GatedPass:
+        gated = GatedPass(engine._evaluate)
+        engine._evaluate = gated
         installed.append(gated)
         return gated
 
@@ -92,11 +92,12 @@ def gate_engine():
 
 
 def wait_for_queued(engine, n: int, timeout: float = 10.0) -> None:
-    """Block until ``n`` rows sit in the engine's micro-batch queue."""
+    """Block until ``n`` requests sit in the engine's micro-batch queue
+    (each queued request is one entry, however many rows it holds)."""
     deadline = time.monotonic() + timeout
     while engine._queue.qsize() < n:
         if time.monotonic() > deadline:
             raise AssertionError(
-                f"expected {n} queued rows, have {engine._queue.qsize()}"
+                f"expected {n} queued requests, have {engine._queue.qsize()}"
             )
         time.sleep(0.005)

@@ -56,6 +56,39 @@ class TestValidation:
         with pytest.raises(ServingError, match="row 1 "):
             engine.score_many(rows)
 
+    def test_number_past_float64_rejected_before_queueing(
+        self, serving_scorer, segment_rows, gate_engine
+    ):
+        """An integer too large for float64 is a validation error for
+        its own request.  It used to pass validation and raise inside
+        the pass, failing every request that shared it."""
+        engine = ScoringEngine(serving_scorer, name="cp8", cache_size=0)
+        offline = engine.score_rows(segment_rows[:2])
+        gated = gate_engine(engine)
+        try:
+            results: dict[int, float] = {}
+
+            def call(i: int) -> None:
+                results[i] = engine.score_one(segment_rows[i])
+
+            threads = [_start(call, 0)]
+            assert gated.in_pass.wait(10.0)
+            threads.append(_start(call, 1))
+            wait_for_queued(engine, 1)
+            huge = dict(segment_rows[2], aadt=10**400)
+            with pytest.raises(
+                ServingError, match="row 0 column 'aadt'.*float64"
+            ):
+                engine.score_one(huge)
+            with pytest.raises(ServingError, match="row 1 column 'aadt'"):
+                engine.score_many([segment_rows[2], huge])
+            assert engine._queue.qsize() == 1
+            gated.gate.set()
+            _join(threads)
+            assert results == {0: offline[0], 1: offline[1]}
+        finally:
+            engine.close()
+
 
 class TestScoring:
     def test_direct_parity_with_scorer(
@@ -151,19 +184,17 @@ class TestMicroBatching:
             ScoringEngine(serving_scorer, max_wait_ms=-1)
 
 
-class SlowScorer:
-    """A scorer double that sleeps ``delay`` seconds before each pass."""
+class SlowPass:
+    """A model-pass double that sleeps ``delay`` seconds before each
+    pass (installed over :meth:`ScoringEngine._evaluate`)."""
 
-    def __init__(self, scorer, delay: float):
-        self.scorer = scorer
+    def __init__(self, evaluate, delay: float):
+        self.evaluate = evaluate
         self.delay = delay
 
-    def __getattr__(self, name):
-        return getattr(self.scorer, name)
-
-    def score(self, table):
+    def __call__(self, rows, encoded):
         time.sleep(self.delay)
-        return self.scorer.score(table)
+        return self.evaluate(rows, encoded)
 
 
 class TestTimeout:
@@ -177,7 +208,7 @@ class TestTimeout:
         engine = ScoringEngine(
             serving_scorer, name="cp8", max_batch=2, cache_size=0
         )
-        engine.scorer = SlowScorer(engine.scorer, delay=0.3)
+        engine._evaluate = SlowPass(engine._evaluate, delay=0.3)
         try:
             start = time.monotonic()
             with pytest.raises(ServingError, match="timed out after 0.6s"):
@@ -380,13 +411,10 @@ class TestIntegrity:
     def test_short_scorer_output_is_loud(self, engine, segment_rows):
         """A scoring pass that loses rows must raise, not silently
         drop slots and shift later probabilities onto wrong rows."""
-        original = engine.scorer.score
-        engine.scorer.score = lambda table: original(table)[:-1]
-        try:
-            with pytest.raises(ServingError, match="probabilities"):
-                engine.score_rows(segment_rows[:4])
-        finally:
-            engine.scorer.score = original
+        original = engine._evaluate
+        engine._evaluate = lambda rows, encoded: original(rows, encoded)[:-1]
+        with pytest.raises(ServingError, match="probabilities"):
+            engine.score_rows(segment_rows[:4])
 
     def test_score_rows_returns_one_result_per_row(
         self, engine, segment_rows

@@ -147,6 +147,32 @@ class TestErrors:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
 
+    def test_integer_past_the_digit_limit_400(self, service):
+        """``json.loads`` raises a plain ValueError, not a
+        JSONDecodeError, for an integer past Python's 4,300-digit
+        limit; it is still a body that is not valid JSON here."""
+        request = urllib.request.Request(
+            service.url + "/v1/score",
+            data=b'{"row": {"aadt": ' + b"9" * 5000 + b"}}",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert "not valid JSON" in json.loads(excinfo.value.read())["error"]
+
+    def test_number_past_float64_400(self, service, segment_rows):
+        """An integer JSON parses but float64 cannot hold is a client
+        error naming the row and column, not a 500 from inside a pass."""
+        code, body = _post_error(
+            service,
+            "/v1/score",
+            {"row": dict(segment_rows[0], aadt=10**400)},
+        )
+        assert code == 400
+        assert "row 0 column 'aadt'" in body["error"]
+        assert "float64" in body["error"]
+
     def test_bad_cutoff_400(self, service, segment_rows):
         code, body = _post_error(
             service,
@@ -273,7 +299,7 @@ class TestEndToEndParity:
             ]
             for t in threads[1:]:
                 t.start()
-            wait_for_queued(engine, 33)
+            wait_for_queued(engine, 11)
             gated.gate.set()
             for t in threads:
                 t.join(30.0)
@@ -320,41 +346,69 @@ class TestHotReloadThroughService:
             assert second["probability"] == first["probability"]
 
 
-class TestServeCommand:
-    def test_ready_lines_name_the_bound_port_once_it_listens(self, model_dir):
-        """``serve --port 0`` binds before its ready lines, prints the
-        bound port and flushes, so one connect on ``endpoints:`` works
-        with stdout a pipe and PYTHONUNBUFFERED unset."""
+class _ServeProcess:
+    """``repro-study serve --port 0`` in a subprocess, with stdout a pipe
+    and PYTHONUNBUFFERED unset; ``port`` is read from its ready lines."""
+
+    def __init__(self, model_dir, *extra: str):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", str(model_dir), "--port", "0"],
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(model_dir),
+             "--port", "0", *extra],
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
             text=True,
         )
-        lines: queue.Queue = queue.Queue()
+        self.lines: queue.Queue = queue.Queue()
+        self._reader = threading.Thread(target=self._read, daemon=True)
+        self._reader.start()
+        self.port = None
 
-        def read() -> None:
-            for line in proc.stdout:
-                lines.put(line)
-            lines.put(None)
+    def _read(self) -> None:
+        for line in self.proc.stdout:
+            self.lines.put(line)
+        self.lines.put(None)
 
-        reader = threading.Thread(target=read, daemon=True)
-        reader.start()
+    def wait_ready(self) -> int:
+        deadline = time.monotonic() + 30.0
+        while True:
+            line = self.lines.get(timeout=max(0.0, deadline - time.monotonic()))
+            assert line is not None, "serve exited before its ready lines"
+            if line.startswith("listening on "):
+                self.port = int(line.rsplit(":", 1)[1])
+            if line.startswith("endpoints:"):
+                assert self.port not in (None, 0)
+                return self.port
+
+    def stop(self, signum: int) -> tuple[int, str]:
+        """Send ``signum``; return the exit code and the rest of stdout."""
+        self.proc.send_signal(signum)
         try:
-            deadline = time.monotonic() + 30.0
-            port = None
-            while True:
-                line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
-                assert line is not None, "serve exited before its ready lines"
-                if line.startswith("listening on "):
-                    port = int(line.rsplit(":", 1)[1])
-                if line.startswith("endpoints:"):
-                    break
-            assert port not in (None, 0)
+            code = self.proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            code = self.proc.wait()
+        self._reader.join(timeout=10)
+        self.proc.stdout.close()
+        rest = []
+        while (line := self.lines.get_nowait()) is not None:
+            rest.append(line)
+        return code, "".join(rest)
+
+
+class TestServeCommand:
+    def test_ready_lines_name_the_bound_port_once_it_listens(self, model_dir):
+        """``serve --port 0`` binds before its ready lines, prints the
+        bound port and flushes, so one connect on ``endpoints:`` works
+        with stdout a pipe and PYTHONUNBUFFERED unset."""
+        serve = _ServeProcess(model_dir)
+        try:
+            port = serve.wait_ready()
             connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
             try:
                 connection.request("GET", "/healthz")
@@ -362,11 +416,31 @@ class TestServeCommand:
             finally:
                 connection.close()
         finally:
-            proc.send_signal(signal.SIGINT)
+            serve.stop(signal.SIGINT)
+
+    def test_sigterm_drains_like_sigint(self, model_dir, segment_rows, tmp_path):
+        """A supervisor's SIGTERM shuts the server down cleanly: exit 0,
+        the metrics summary printed, the access log written."""
+        access_log = tmp_path / "access.jsonl"
+        serve = _ServeProcess(model_dir, "--access-log", str(access_log))
+        try:
+            port = serve.wait_ready()
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
             try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            reader.join(timeout=10)
-            proc.stdout.close()
+                connection.request(
+                    "POST",
+                    "/v1/score",
+                    body=json.dumps({"row": segment_rows[0]}),
+                    headers={"Content-Type": "application/json"},
+                )
+                assert connection.getresponse().status == 200
+            finally:
+                connection.close()
+        finally:
+            code, output = serve.stop(signal.SIGTERM)
+        assert code == 0
+        assert "shutting down" in output
+        assert "POST /v1/score" in output
+        (line,) = access_log.read_text().splitlines()
+        record = json.loads(line)
+        assert (record["path"], record["status"]) == ("/v1/score", 200)

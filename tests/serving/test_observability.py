@@ -141,7 +141,7 @@ class TestMicroBatchTrace:
         by_id = {s.span_id: s for s in spans}
         batch_span = next(s for s in spans if s.name == "engine.batch")
         # The batch worker thread has no request context: the link is
-        # the shipped _Pending.trace_context.
+        # the shipped _Request.trace_context.
         assert by_id[batch_span.parent_id].name == "http.request"
         assert batch_span.attrs["batch_size"] >= 1
         assert batch_span.attrs["queue_wait_ms"] >= 0.0
