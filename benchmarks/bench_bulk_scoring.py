@@ -60,7 +60,6 @@ def run_bulk_bench(dataset, n_rows, rounds=3, emit_name=None):
     model = scorer.model
     table = _tile_segments(dataset.segment_table, n_rows)
     plan = model.scoring_plan()
-    assert plan is not None, "the fitted tree must compile"
 
     extract_s, features = _best_of(
         lambda: model._features_for(table), rounds

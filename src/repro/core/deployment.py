@@ -225,11 +225,10 @@ class CrashPronenessScorer:
                 schema[name] = {"kind": "categorical", "levels": list(levels)}
         return schema
 
-    def scoring_plan(self) -> TreePlan | None:
-        """The classifier's compiled plan, or ``None`` when its tree
-        does not compile.  :meth:`score` uses the same plan; the
-        serving engine evaluates it on request rows it has encoded
-        itself (:mod:`repro.serving.encoder`)."""
+    def scoring_plan(self) -> TreePlan:
+        """The classifier's compiled plan.  :meth:`score` uses the same
+        plan; the serving engine evaluates it on request rows it has
+        encoded itself (:mod:`repro.serving.encoder`)."""
         return self.model.scoring_plan()
 
     # -- persistence -------------------------------------------------------------
@@ -252,6 +251,14 @@ class CrashPronenessScorer:
     def from_dict(
         cls, data: dict, source: str | Path | None = None
     ) -> "CrashPronenessScorer":
+        """Rebuild a scorer from :meth:`to_dict` output.
+
+        Loading compiles each tree's scoring plan, so a tree the plan
+        cannot represent raises :class:`~repro.exceptions.TreeCompileError`
+        here.  A payload that lacks a key or holds a value of the wrong
+        shape raises :class:`ReproError` naming ``source``; any other
+        :class:`ReproError` passes through unchanged.
+        """
         origin = f" in {source}" if source is not None else ""
         version = data.get("format_version")
         if version != SCORER_FORMAT_VERSION:
@@ -265,18 +272,30 @@ class CrashPronenessScorer:
                 f"scorer checksum mismatch{origin}: the artefact was "
                 "modified after save()"
             )
-        regression_data = data.get("regression")
-        return cls(
-            threshold=data["threshold"],
-            model=DecisionTreeClassifier.from_dict(data["model"]),
-            validation=dict(data["validation"]),
-            metadata=dict(data["metadata"]),
-            regression=(
-                None
-                if regression_data is None
-                else RegressionTree.from_dict(regression_data)
-            ),
-        )
+        try:
+            regression_data = data.get("regression")
+            return cls(
+                threshold=data["threshold"],
+                model=DecisionTreeClassifier.from_dict(data["model"]),
+                validation=dict(data["validation"]),
+                metadata=dict(data["metadata"]),
+                regression=(
+                    None
+                    if regression_data is None
+                    else RegressionTree.from_dict(regression_data)
+                ),
+            )
+        except ReproError:
+            # Some are also ValueErrors or KeyErrors; keep them as they are.
+            raise
+        except (
+            KeyError, TypeError, ValueError, AttributeError, IndexError,
+            OverflowError,
+        ) as exc:
+            raise ReproError(
+                f"malformed scorer artefact{origin}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
     def save(self, path: str | Path) -> None:
         """Write the scorer to a JSON file (checksummed, see
@@ -289,7 +308,10 @@ class CrashPronenessScorer:
         """Read a scorer saved with :meth:`save`.
 
         Raises :class:`ReproError` naming ``path`` for missing files,
-        invalid JSON, checksum mismatches and stale format versions.
+        invalid JSON, checksum mismatches, stale format versions and
+        payloads of the wrong shape, and
+        :class:`~repro.exceptions.TreeCompileError` naming the node for
+        a tree the scoring plan cannot represent.
         """
         path = Path(path)
         try:

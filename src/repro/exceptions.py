@@ -140,8 +140,12 @@ class RoutingError(ReproError):
 
 
 class TreeCompileError(ReproError):
-    """A fitted tree (or persisted plan) could not be lowered to the
-    compiled scoring fast path; callers fall back to interpreted routing."""
+    """A fitted tree could not be lowered to its compiled scoring plan
+    (an unknown split feature, a level code outside the vocabulary, a
+    branch layout the plan cannot represent; the message names the
+    node), or rows do not match a plan's input layout.  The plan is
+    the only way a tree scores, so a loaded artefact whose tree does
+    not lower is refused at load."""
 
 
 class ConvergenceWarning(UserWarning):

@@ -19,7 +19,12 @@ from repro.datatable import (
     DataTable,
     NumericColumn,
 )
-from repro.exceptions import FitError, MissingColumnError, SchemaError
+from repro.exceptions import (
+    ColumnTypeError,
+    FitError,
+    MissingColumnError,
+    SchemaError,
+)
 
 __all__ = ["Feature", "FeatureSet"]
 
@@ -201,7 +206,17 @@ class FeatureSet:
     def aligned_to(
         self, vocabularies: dict[str, tuple[str, ...]]
     ) -> "FeatureSet":
-        """Remap categorical codes into another table's vocabularies.
+        """Settle each input's kind and remap categorical codes into a
+        fitted model's vocabularies.
+
+        ``vocabularies`` names every categorical input the model was
+        fitted on; every other input was numeric.  An input column that
+        is entirely missing counts as missing whatever its type here (a
+        CSV reader types an all-blank column as numeric).  Any other
+        kind mismatch raises :class:`ColumnTypeError` naming the column
+        and both kinds: one stray token in a numeric CSV column makes
+        the reader type it categorical, and its table-local codes must
+        never meet a numeric threshold.
 
         Categorical codes are table-local; a model fitted on one table
         must translate another table's codes into its own vocabulary
@@ -217,6 +232,9 @@ class FeatureSet:
         aligned.features = []
         for feature in self.features:
             target_labels = vocabularies.get(feature.name)
+            if feature.is_numeric != (target_labels is None):
+                aligned.features.append(_as_missing(feature, target_labels))
+                continue
             if (
                 feature.is_numeric
                 or target_labels is None
@@ -246,3 +264,26 @@ class FeatureSet:
                 Feature(feature.name, False, new_codes, target_labels)
             )
         return aligned
+
+
+def _kind(is_numeric: bool) -> str:
+    return "numeric" if is_numeric else "categorical"
+
+
+def _as_missing(
+    feature: Feature, target_labels: tuple[str, ...] | None
+) -> Feature:
+    """An entirely missing input in the fitted kind (categorical when
+    ``target_labels`` is given); any other kind mismatch is an error."""
+    if not feature.missing_mask().all():
+        raise ColumnTypeError(
+            f"input column {feature.name!r} is "
+            f"{_kind(feature.is_numeric)} in the table, but the model was "
+            f"fitted on it as {_kind(target_labels is None)}"
+        )
+    n = feature.values.shape[0]
+    if target_labels is None:
+        return Feature(feature.name, True, np.full(n, np.nan))
+    return Feature(
+        feature.name, False, np.full(n, -1, dtype=np.int64), target_labels
+    )

@@ -28,28 +28,33 @@ two backends over the same arrays:
 The plan is a pure lowering: its output is bit-identical to
 ``route_rows`` (enforced by hypothesis parity tests), including the
 paper's missing-as-valid-data routing and the largest-child fallback
-for unmatched rows.  Trees whose branch layout is not the canonical
-grower output (e.g. hand-edited artefacts with mismatched ``le``/``gt``
-thresholds) refuse to compile with :class:`TreeCompileError`; callers
-fall back to the interpreted path, so compilation is never a
-behavioural change.
+for unmatched rows.  It is also the only way a fitted tree scores
+(:class:`CompiledScoringMixin`): it is compiled from the tree's own
+nodes, never stored, and a tree whose branch layout it cannot
+represent (e.g. a hand-edited artefact with mismatched ``le``/``gt``
+thresholds) raises :class:`TreeCompileError` naming the node.  Every
+index in a compiled plan is in range by construction (DESIGN.md §8),
+so the native kernel can trust it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence, TypeVar
 
 import numpy as np
 
-from repro.exceptions import TreeCompileError
+from repro.datatable import DataTable
+from repro.exceptions import ReproError, TreeCompileError
+from repro.mining.base import Model
 from repro.mining.features import FeatureSet
 from repro.mining.tree import kernel as _kernel
-from repro.mining.tree.structure import TreeNode, route_rows
+from repro.mining.tree.growth import GrownTree, TreeConfig, grow_tree
+from repro.mining.tree.serialize import node_from_dict, node_to_dict
+from repro.mining.tree.structure import TreeNode, iter_nodes
 from repro.obs.trace import span as obs_span
 
 __all__ = [
-    "PLAN_FORMAT_VERSION",
     "PlanInput",
     "PlanRows",
     "TreePlan",
@@ -57,8 +62,6 @@ __all__ = [
     "plan_inputs",
     "CompiledScoringMixin",
 ]
-
-PLAN_FORMAT_VERSION = 1
 
 #: node kinds in the flattened plan
 _LEAF, _NUMERIC, _NOMINAL = 0, 1, 2
@@ -137,7 +140,6 @@ class TreePlan:
         lut: np.ndarray,
         prediction: np.ndarray,
         node_id: np.ndarray,
-        max_depth: int,
     ):
         # Dtypes are pinned to what both backends consume directly:
         # the C kernel reads these buffers through ctypes as-is.
@@ -152,7 +154,6 @@ class TreePlan:
         self.lut = np.ascontiguousarray(lut, dtype=np.int32)
         self.prediction = np.ascontiguousarray(prediction, dtype=np.float64)
         self.node_id = np.ascontiguousarray(node_id, dtype=np.int64)
-        self.max_depth = max_depth
         self._numeric_names = [i.name for i in inputs if i.is_numeric]
         self._nominal = [i for i in inputs if not i.is_numeric]
         # Largest legal shifted code per nominal input, as uint64 so a
@@ -185,8 +186,9 @@ class TreePlan:
         columns are the feature set's own arrays, not copies.
 
         Raises :class:`TreeCompileError` when the feature set does not
-        carry every plan input with the expected measurement level —
-        the caller's cue to fall back to the interpreted router.
+        carry every plan input with the expected measurement level.  A
+        model's own feature sets always do: vocabulary alignment
+        (:meth:`FeatureSet.aligned_to`) settles each input's kind first.
         """
         by_name = {f.name: f for f in features.features}
         numeric_cols = []
@@ -326,129 +328,6 @@ class TreePlan:
                         )
         return self.prediction[final], self.node_id[final]
 
-    # -- persistence -------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-safe representation (persisted in scorer artefacts)."""
-        return {
-            "plan_format_version": PLAN_FORMAT_VERSION,
-            "inputs": [
-                {
-                    "name": i.name,
-                    "is_numeric": i.is_numeric,
-                    "n_levels": i.n_levels,
-                }
-                for i in self.inputs
-            ],
-            "kind": self.kind.tolist(),
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "le_child": self.le_child.tolist(),
-            "gt_child": self.gt_child.tolist(),
-            "nan_child": self.nan_child.tolist(),
-            "lut_offset": self.lut_offset.tolist(),
-            "lut": self.lut.tolist(),
-            "prediction": self.prediction.tolist(),
-            "node_id": self.node_id.tolist(),
-            "max_depth": self.max_depth,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TreePlan":
-        """Rebuild a plan from :meth:`to_dict` output.
-
-        Raises :class:`TreeCompileError` for stale format versions or
-        structurally inconsistent payloads; callers recompile from the
-        tree instead.
-        """
-        version = data.get("plan_format_version")
-        if version != PLAN_FORMAT_VERSION:
-            raise TreeCompileError(
-                f"unsupported plan format version {version!r} "
-                f"(expected {PLAN_FORMAT_VERSION})"
-            )
-        try:
-            inputs = tuple(
-                PlanInput(
-                    name=i["name"],
-                    is_numeric=bool(i["is_numeric"]),
-                    n_levels=int(i["n_levels"]),
-                )
-                for i in data["inputs"]
-            )
-            arrays = {
-                name: np.asarray(data[name], dtype=np.int64)
-                for name in (
-                    "kind", "feature", "le_child", "gt_child",
-                    "nan_child", "lut_offset", "lut", "node_id",
-                )
-            }
-            arrays["threshold"] = np.asarray(
-                data["threshold"], dtype=np.float64
-            )
-            arrays["prediction"] = np.asarray(
-                data["prediction"], dtype=np.float64
-            )
-            max_depth = int(data["max_depth"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TreeCompileError(
-                f"malformed scoring plan payload: {exc}"
-            ) from exc
-        n = arrays["kind"].shape[0] if arrays["kind"].ndim == 1 else 0
-        per_node = (
-            "feature", "threshold", "le_child", "gt_child",
-            "nan_child", "lut_offset", "prediction", "node_id",
-        )
-        if n == 0 or any(arrays[name].shape != (n,) for name in per_node):
-            raise TreeCompileError(
-                "malformed scoring plan payload: per-node arrays disagree"
-            )
-        # Validate on the raw int64 parse, before __init__ narrows to
-        # int32 (a narrowing cast would wrap silently).  The native
-        # kernel trusts these arrays completely — an out-of-range index
-        # there is a memory error, not an exception — so every way a
-        # payload could aim a read outside its buffers is rejected here.
-        children = np.concatenate(
-            [arrays[k] for k in ("le_child", "gt_child", "nan_child", "lut")]
-        )
-        if children.size and (children.min() < 0 or children.max() >= n):
-            raise TreeCompileError(
-                "malformed scoring plan payload: child index out of range"
-            )
-        kind, feature = arrays["kind"], arrays["feature"]
-        if not np.isin(kind, (_LEAF, _NUMERIC, _NOMINAL)).all():
-            raise TreeCompileError(
-                "malformed scoring plan payload: unknown node kind"
-            )
-        n_numeric = sum(1 for spec in inputs if spec.is_numeric)
-        nominal_specs = [spec for spec in inputs if not spec.is_numeric]
-        numeric_nodes = kind == _NUMERIC
-        nominal_nodes = kind == _NOMINAL
-        if numeric_nodes.any():
-            used = feature[numeric_nodes]
-            if used.min() < 0 or used.max() >= n_numeric:
-                raise TreeCompileError(
-                    "malformed scoring plan payload: numeric feature "
-                    "index out of range"
-                )
-        for node in np.flatnonzero(nominal_nodes):
-            col = feature[node]
-            if not 0 <= col < len(nominal_specs):
-                raise TreeCompileError(
-                    "malformed scoring plan payload: nominal feature "
-                    "index out of range"
-                )
-            slice_end = arrays["lut_offset"][node] + (
-                nominal_specs[col].n_levels + 2
-            )
-            if arrays["lut_offset"][node] < 0 or (
-                slice_end > arrays["lut"].shape[0]
-            ):
-                raise TreeCompileError(
-                    "malformed scoring plan payload: LUT slice out of "
-                    "range"
-                )
-        return cls(inputs=inputs, max_depth=max_depth, **arrays)
-
 
 def _fallback_index(node: TreeNode) -> int:
     """Index of the largest-child branch (first max, like route_rows)."""
@@ -463,9 +342,13 @@ def compile_tree(
 
     ``inputs`` describes the model's input features in order (the
     fitted ``input_names`` with their measurement level and training
-    vocabulary size).  Raises :class:`TreeCompileError` when the tree
-    references unknown features or carries a branch layout the lowering
-    cannot represent faithfully.
+    vocabulary size).  Raises :class:`TreeCompileError`, naming the
+    node, when the tree references unknown features, groups a level
+    code outside its feature's vocabulary, or carries a branch layout
+    the lowering cannot represent faithfully.  Every index the result
+    holds is in range by construction: child indices come from this
+    function's own pre-order walk, feature indices from ``inputs``,
+    and each lookup-table slice is ``n_levels + 2`` entries long.
     """
     inputs = tuple(inputs)
     spec_by_name = {spec.name: spec for spec in inputs}
@@ -480,15 +363,8 @@ def compile_tree(
 
     # Pre-order flattening; children always get larger indices than
     # their parent, so evaluation can never loop.
-    order: list[tuple[TreeNode, int]] = []  # (node, depth)
-    index_of: dict[int, int] = {}
-    stack: list[tuple[TreeNode, int]] = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        index_of[id(node)] = len(order)
-        order.append((node, depth))
-        for branch in reversed(node.branches):
-            stack.append((branch.child, depth + 1))
+    order = list(iter_nodes(root))
+    index_of = {id(node): i for i, node in enumerate(order)}
 
     n = len(order)
     kind = np.zeros(n, dtype=np.int8)
@@ -502,10 +378,8 @@ def compile_tree(
     lut_size = 0
     prediction = np.empty(n, dtype=np.float64)
     node_id = np.empty(n, dtype=np.int64)
-    max_depth = 0
 
-    for i, (node, depth) in enumerate(order):
-        max_depth = max(max_depth, depth)
+    for i, node in enumerate(order):
         prediction[i] = node.prediction
         node_id[i] = node.node_id
         if node.is_leaf:
@@ -525,7 +399,11 @@ def compile_tree(
         missing_child = (
             missing_children[0] if missing_children else fallback
         )
-        assert node.split is not None
+        if node.split is None:
+            raise TreeCompileError(
+                f"node {node.node_id} has branches but no split; "
+                f"cannot compile"
+            )
         spec = spec_by_name.get(node.split.feature)
         if spec is None:
             raise TreeCompileError(
@@ -601,7 +479,6 @@ def compile_tree(
         ),
         prediction=prediction,
         node_id=node_id,
-        max_depth=max_depth,
     )
 
 
@@ -619,89 +496,130 @@ def plan_inputs(
     )
 
 
-class CompiledScoringMixin:
-    """Lazy plan compilation + interpreted fallback for tree models.
+_Tree = TypeVar("_Tree", bound="CompiledScoringMixin")
+
+
+class CompiledScoringMixin(Model):
+    """What the two fitted tree models share: the grown tree, its one
+    scoring path and the artefact keys.
 
     Mixed into :class:`~repro.mining.tree.decision_tree.DecisionTreeClassifier`
-    and :class:`~repro.mining.tree.regression_tree.RegressionTree`.  The
-    plan compiles once per fitted tree on first prediction (or arrives
-    pre-compiled from a persisted artefact via :meth:`attach_plan`) and
-    is reused by every subsequent scan — the study's validation passes,
-    the serving engine, and bulk re-scores all share it.  Any
-    :class:`TreeCompileError` (non-canonical tree, mismatched
-    evaluation features) drops that call back to ``route_rows``, so the
-    fast path can never change behaviour.
+    and :class:`~repro.mining.tree.regression_tree.RegressionTree`.  A
+    fitted tree scores only through its compiled :class:`TreePlan`,
+    which is compiled from the tree's own nodes: on the first
+    prediction after :meth:`fit`, and at once in :meth:`from_dict`.
+    So a tree that cannot lower is refused when it is loaded, with a
+    :class:`TreeCompileError` that names the node.  The plan is reused
+    by every later scan: the study's validation passes, the serving
+    engine and bulk re-scores all share it.  Artefacts never hold it.
     """
 
-    _plan: TreePlan | None = None
-    _plan_failed: bool = False
+    def __init__(self, config: TreeConfig | None = None):
+        super().__init__()
+        self.config = config or TreeConfig()
+        self._tree: GrownTree | None = None
+        self._plan: TreePlan | None = None
 
-    def _reset_plan(self) -> None:
+    def _grow(self, features: FeatureSet, y: np.ndarray, mode: str) -> None:
+        self._tree = grow_tree(features, y, self.config, mode=mode)
         self._plan = None
-        self._plan_failed = False
 
-    def scoring_plan(self) -> TreePlan | None:
-        """The compiled plan, or ``None`` when the tree won't lower."""
-        if self._plan is None and not self._plan_failed:
-            try:
-                with obs_span("plan.compile") as compile_span:
-                    self._plan = compile_tree(
-                        self.root,
-                        plan_inputs(self.input_names, self.vocabularies),
-                    )
-                    if compile_span is not None:
-                        compile_span.attrs["nodes"] = self._plan.n_nodes
-            except TreeCompileError:
-                self._plan_failed = True
+    # -- structure ---------------------------------------------------------
+    def _grown(self) -> GrownTree:
+        self._require_fitted()
+        assert self._tree is not None
+        return self._tree
+
+    @property
+    def root(self) -> TreeNode:
+        return self._grown().root
+
+    @property
+    def n_leaves(self) -> int:
+        return self._grown().n_leaves
+
+    @property
+    def n_nodes(self) -> int:
+        return self._grown().n_nodes
+
+    @property
+    def depth(self) -> int:
+        return self._grown().depth
+
+    # -- scoring -----------------------------------------------------------
+    def scoring_plan(self) -> TreePlan:
+        """The compiled plan, compiled on first use."""
+        if self._plan is None:
+            with obs_span("plan.compile") as compile_span:
+                self._plan = compile_tree(
+                    self.root,
+                    plan_inputs(self.input_names, self.vocabularies),
+                )
+                if compile_span is not None:
+                    compile_span.attrs["nodes"] = self._plan.n_nodes
         return self._plan
 
-    def attach_plan(self, plan: TreePlan) -> None:
-        """Adopt a pre-compiled plan (from a persisted artefact).
+    def _route(self, table: DataTable) -> tuple[np.ndarray, np.ndarray]:
+        """(predictions, leaf_ids) for every row of ``table``."""
+        return self.scoring_plan().evaluate(self._features_for(table))
 
-        The plan must describe this model's inputs and node count;
-        anything else raises :class:`TreeCompileError` and the caller
-        should recompile from the tree instead.
+    def apply(self, table: DataTable) -> np.ndarray:
+        """Leaf id reached by every row (for rule analysis)."""
+        return self._route(table)[1]
+
+    # -- persistence -------------------------------------------------------
+    def _extra_payload(self) -> dict:
+        """Model-specific artefact keys, written after ``vocabularies``."""
+        return {}
+
+    def _restore_extra(self, data: dict) -> None:
+        """Read back what :meth:`_extra_payload` wrote."""
+
+    def to_dict(self) -> dict:
+        """JSON-safe representation of the fitted model."""
+        tree = self._grown()
+        return {
+            "model": type(self).__name__,
+            "config": asdict(self.config),
+            "input_names": self.input_names,
+            "target_name": self.target_name,
+            "vocabularies": {
+                name: list(labels)
+                for name, labels in self._vocabularies.items()
+            },
+            **self._extra_payload(),
+            "n_leaves": tree.n_leaves,
+            "n_nodes": tree.n_nodes,
+            "depth": tree.depth,
+            "tree": node_to_dict(tree.root),
+        }
+
+    @classmethod
+    def from_dict(cls: type[_Tree], data: dict) -> _Tree:
+        """Rebuild a fitted model from :meth:`to_dict` output and
+        compile its plan.
+
+        An artefact written while plans were still persisted carries a
+        ``scoring_plan`` key; it is not read.
         """
-        expected = plan_inputs(self.input_names, self.vocabularies)
-        if plan.inputs != expected:
-            raise TreeCompileError(
-                "persisted scoring plan does not match the model inputs"
+        if data.get("model") != cls.__name__:
+            raise ReproError(
+                f"expected a {cls.__name__} dump, got {data.get('model')!r}"
             )
-        if plan.n_nodes != self.n_nodes:
-            raise TreeCompileError(
-                f"persisted scoring plan has {plan.n_nodes} nodes, "
-                f"the tree has {self.n_nodes}"
-            )
-        self._plan = plan
-        self._plan_failed = False
-
-    def _route(self, features: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
-        """(predictions, leaf_ids) via the plan, or interpreted fallback."""
-        plan = self.scoring_plan()
-        if plan is not None:
-            try:
-                return plan.evaluate(features)
-            except TreeCompileError:
-                pass  # features don't fit the plan; interpret instead
-        return route_rows(self.root, features)
-
-    # -- persistence helpers ----------------------------------------------
-    def _plan_payload(self) -> dict | None:
-        """JSON-safe compiled plan for model artefacts (None when the
-        tree won't lower)."""
-        plan = self.scoring_plan()
-        return None if plan is None else plan.to_dict()
-
-    def _adopt_plan_payload(self, data: dict) -> None:
-        """Attach a persisted ``scoring_plan`` payload, if compatible.
-
-        Stale, malformed or mismatched payloads are dropped silently —
-        the plan recompiles lazily from the tree, so a hand-edited or
-        older artefact costs a recompile, never a failure."""
-        payload = data.get("scoring_plan")
-        if payload is None:
-            return
-        try:
-            self.attach_plan(TreePlan.from_dict(payload))
-        except TreeCompileError:
-            self._reset_plan()
+        model = cls(TreeConfig(**data["config"]))
+        model._tree = GrownTree(
+            root=node_from_dict(data["tree"]),
+            n_leaves=data["n_leaves"],
+            n_nodes=data["n_nodes"],
+            depth=data["depth"],
+        )
+        model._input_names = list(data["input_names"])
+        model._target_name = data["target_name"]
+        model._vocabularies = {
+            name: tuple(labels)
+            for name, labels in data.get("vocabularies", {}).items()
+        }
+        model._restore_extra(data)
+        model._fitted = True
+        model.scoring_plan()
+        return model

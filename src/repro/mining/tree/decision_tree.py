@@ -13,8 +13,7 @@ from repro.datatable import DataTable
 from repro.mining.base import BinaryClassifier
 from repro.mining.features import FeatureSet
 from repro.mining.tree.compile import CompiledScoringMixin
-from repro.mining.tree.growth import GrownTree, TreeConfig, grow_tree
-from repro.mining.tree.structure import TreeNode, iter_leaves
+from repro.mining.tree.structure import iter_leaves
 
 __all__ = ["DecisionTreeClassifier"]
 
@@ -34,54 +33,13 @@ class DecisionTreeClassifier(CompiledScoringMixin, BinaryClassifier):
         Structure of the fitted tree (Tables 3 and 4 report leaves).
     """
 
-    def __init__(self, config: TreeConfig | None = None):
-        super().__init__()
-        self.config = config or TreeConfig()
-        self._tree: GrownTree | None = None
-
-    # -- fitting ---------------------------------------------------------
     def _fit(self, features: FeatureSet) -> None:
         y, labels = features.binary_target()
         self.class_labels = labels
-        self._tree = grow_tree(features, y, self.config, mode="chi2")
-        self._reset_plan()
+        self._grow(features, y, "chi2")
 
-    # -- structure -------------------------------------------------------
-    @property
-    def root(self) -> TreeNode:
-        self._require_fitted()
-        assert self._tree is not None
-        return self._tree.root
-
-    @property
-    def n_leaves(self) -> int:
-        self._require_fitted()
-        assert self._tree is not None
-        return self._tree.n_leaves
-
-    @property
-    def n_nodes(self) -> int:
-        self._require_fitted()
-        assert self._tree is not None
-        return self._tree.n_nodes
-
-    @property
-    def depth(self) -> int:
-        self._require_fitted()
-        assert self._tree is not None
-        return self._tree.depth
-
-    # -- prediction ---------------------------------------------------------
     def predict_proba(self, table: DataTable) -> np.ndarray:
-        features = self._features_for(table)
-        probabilities, _leaves = self._route(features)
-        return probabilities
-
-    def apply(self, table: DataTable) -> np.ndarray:
-        """Leaf id reached by every row (for rule analysis)."""
-        features = self._features_for(table)
-        _probabilities, leaves = self._route(features)
-        return leaves
+        return self._route(table)[0]
 
     def leaf_summary(self) -> list[dict]:
         """One record per leaf: id, size, P(positive)."""
@@ -94,57 +52,9 @@ class DecisionTreeClassifier(CompiledScoringMixin, BinaryClassifier):
             for leaf in iter_leaves(self.root)
         ]
 
-    # -- persistence ------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-safe representation of the fitted model."""
-        self._require_fitted()
-        assert self._tree is not None and self.class_labels is not None
-        from dataclasses import asdict
+    def _extra_payload(self) -> dict:
+        assert self.class_labels is not None
+        return {"class_labels": list(self.class_labels)}
 
-        from repro.mining.tree.serialize import node_to_dict
-
-        return {
-            "model": "DecisionTreeClassifier",
-            "config": asdict(self.config),
-            "input_names": self.input_names,
-            "target_name": self.target_name,
-            "vocabularies": {
-                name: list(labels)
-                for name, labels in self._vocabularies.items()
-            },
-            "class_labels": list(self.class_labels),
-            "n_leaves": self._tree.n_leaves,
-            "n_nodes": self._tree.n_nodes,
-            "depth": self._tree.depth,
-            "tree": node_to_dict(self._tree.root),
-            "scoring_plan": self._plan_payload(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DecisionTreeClassifier":
-        """Rebuild a fitted model from :meth:`to_dict` output."""
-        from repro.exceptions import ReproError
-        from repro.mining.tree.serialize import node_from_dict
-
-        if data.get("model") != "DecisionTreeClassifier":
-            raise ReproError(
-                f"expected a DecisionTreeClassifier dump, got "
-                f"{data.get('model')!r}"
-            )
-        model = cls(TreeConfig(**data["config"]))
-        model._tree = GrownTree(
-            root=node_from_dict(data["tree"]),
-            n_leaves=data["n_leaves"],
-            n_nodes=data["n_nodes"],
-            depth=data["depth"],
-        )
-        model.class_labels = tuple(data["class_labels"])
-        model._input_names = list(data["input_names"])
-        model._target_name = data["target_name"]
-        model._vocabularies = {
-            name: tuple(labels)
-            for name, labels in data.get("vocabularies", {}).items()
-        }
-        model._fitted = True
-        model._adopt_plan_payload(data)
-        return model
+    def _restore_extra(self, data: dict) -> None:
+        self.class_labels = tuple(data["class_labels"])

@@ -20,8 +20,7 @@ from repro.evaluation.metrics import r_squared
 from repro.mining.base import Regressor
 from repro.mining.features import FeatureSet
 from repro.mining.tree.compile import CompiledScoringMixin
-from repro.mining.tree.growth import GrownTree, TreeConfig, grow_tree
-from repro.mining.tree.structure import TreeNode, iter_leaves
+from repro.mining.tree.structure import iter_leaves
 
 __all__ = ["RegressionTree"]
 
@@ -29,52 +28,11 @@ __all__ = ["RegressionTree"]
 class RegressionTree(CompiledScoringMixin, Regressor):
     """F-test regression tree (interval target)."""
 
-    def __init__(self, config: TreeConfig | None = None):
-        super().__init__()
-        self.config = config or TreeConfig()
-        self._tree: GrownTree | None = None
-
     def _fit(self, features: FeatureSet) -> None:
-        y = features.interval_target()
-        self._tree = grow_tree(features, y, self.config, mode="f")
-        self._reset_plan()
+        self._grow(features, features.interval_target(), "f")
 
-    # -- structure ---------------------------------------------------------
-    @property
-    def root(self) -> TreeNode:
-        self._require_fitted()
-        assert self._tree is not None
-        return self._tree.root
-
-    @property
-    def n_leaves(self) -> int:
-        self._require_fitted()
-        assert self._tree is not None
-        return self._tree.n_leaves
-
-    @property
-    def n_nodes(self) -> int:
-        self._require_fitted()
-        assert self._tree is not None
-        return self._tree.n_nodes
-
-    @property
-    def depth(self) -> int:
-        self._require_fitted()
-        assert self._tree is not None
-        return self._tree.depth
-
-    # -- prediction -------------------------------------------------------------
     def predict(self, table: DataTable) -> np.ndarray:
-        features = self._features_for(table)
-        predictions, _leaves = self._route(features)
-        return predictions
-
-    def apply(self, table: DataTable) -> np.ndarray:
-        """Leaf id reached by every row."""
-        features = self._features_for(table)
-        _predictions, leaves = self._route(features)
-        return leaves
+        return self._route(table)[0]
 
     def score_r_squared(self, table: DataTable) -> float:
         """Validation R² against the fitted target column."""
@@ -93,55 +51,3 @@ class RegressionTree(CompiledScoringMixin, Regressor):
             }
             for leaf in iter_leaves(self.root)
         ]
-
-    # -- persistence ------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-safe representation of the fitted model."""
-        self._require_fitted()
-        assert self._tree is not None
-        from dataclasses import asdict
-
-        from repro.mining.tree.serialize import node_to_dict
-
-        return {
-            "model": "RegressionTree",
-            "config": asdict(self.config),
-            "input_names": self.input_names,
-            "target_name": self.target_name,
-            "vocabularies": {
-                name: list(labels)
-                for name, labels in self._vocabularies.items()
-            },
-            "n_leaves": self._tree.n_leaves,
-            "n_nodes": self._tree.n_nodes,
-            "depth": self._tree.depth,
-            "tree": node_to_dict(self._tree.root),
-            "scoring_plan": self._plan_payload(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegressionTree":
-        """Rebuild a fitted model from :meth:`to_dict` output."""
-        from repro.exceptions import ReproError
-        from repro.mining.tree.serialize import node_from_dict
-
-        if data.get("model") != "RegressionTree":
-            raise ReproError(
-                f"expected a RegressionTree dump, got {data.get('model')!r}"
-            )
-        model = cls(TreeConfig(**data["config"]))
-        model._tree = GrownTree(
-            root=node_from_dict(data["tree"]),
-            n_leaves=data["n_leaves"],
-            n_nodes=data["n_nodes"],
-            depth=data["depth"],
-        )
-        model._input_names = list(data["input_names"])
-        model._target_name = data["target_name"]
-        model._vocabularies = {
-            name: tuple(labels)
-            for name, labels in data.get("vocabularies", {}).items()
-        }
-        model._fitted = True
-        model._adopt_plan_payload(data)
-        return model

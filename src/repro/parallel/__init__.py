@@ -11,8 +11,8 @@ dispatchable tasks:
     One picklable unit of work: a module-level function plus arguments,
     tagged with its stage and threshold.
 :class:`~repro.parallel.executor.SweepExecutor`
-    Runs task batches on a pluggable backend — ``serial`` (in-process,
-    the ``n_jobs=1`` default) or ``process``
+    Runs task batches on the backend ``n_jobs`` selects — ``serial``
+    (in-process, the ``n_jobs=1`` default) or ``process``
     (:class:`concurrent.futures.ProcessPoolExecutor`).  Results come
     back in submission order and every task carries its own
     deterministic seed, so the parallel output is bit-identical to the
@@ -27,11 +27,7 @@ dispatchable tasks:
 """
 
 from repro.parallel.cache import ThresholdDatasetCache
-from repro.parallel.executor import (
-    SweepExecutor,
-    available_backends,
-    resolve_n_jobs,
-)
+from repro.parallel.executor import SweepExecutor, resolve_n_jobs
 from repro.parallel.tasks import SweepTask, TaskResult, execute_task
 from repro.parallel.timing import StageTiming, StageTimings, TaskTiming
 
@@ -40,7 +36,6 @@ __all__ = [
     "TaskResult",
     "execute_task",
     "SweepExecutor",
-    "available_backends",
     "resolve_n_jobs",
     "ThresholdDatasetCache",
     "TaskTiming",

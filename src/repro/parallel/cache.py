@@ -14,20 +14,14 @@ a strong reference to each source table, so a table's ``id`` cannot be
 recycled while its entries are alive.  A *different* table object —
 even one with equal contents — is a different key; callers that want
 sharing must pass the same object, which is exactly how the study
-threads its instance tables through a run.
-
-Long-lived processes (scenario fleets sweeping many generated tables)
-can pass ``max_entries`` to bound the cache: entries are evicted least
-recently used, together with the table reference that kept their
-source alive.
+threads its instance tables through a run.  The cache has no bound:
+a study run holds one dataset per threshold it sweeps.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
-from repro.exceptions import ConfigurationError
 from repro.obs.trace import span as obs_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,15 +34,8 @@ __all__ = ["ThresholdDatasetCache"]
 class ThresholdDatasetCache:
     """Memoises ``build_threshold_dataset`` per ``(table, threshold)``."""
 
-    def __init__(self, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ConfigurationError(
-                f"max_entries must be >= 1 or None, got {max_entries}"
-            )
-        self.max_entries = max_entries
-        self._entries: OrderedDict[tuple[int, int], "ThresholdDataset"] = (
-            OrderedDict()
-        )
+    def __init__(self) -> None:
+        self._entries: dict[tuple[int, int], "ThresholdDataset"] = {}
         self._tables: dict[int, "DataTable"] = {}
         self.hits = 0
         self.misses = 0
@@ -64,7 +51,6 @@ class ThresholdDatasetCache:
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
-            self._entries.move_to_end(key)
             with obs_span(
                 "cache.threshold_dataset", threshold=int(threshold), hit=True
             ):
@@ -76,11 +62,6 @@ class ThresholdDatasetCache:
             dataset = build_threshold_dataset(table, threshold)
         self._entries[key] = dataset
         self._tables[key[0]] = table
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                evicted_key, _ = self._entries.popitem(last=False)
-                if not any(k[0] == evicted_key[0] for k in self._entries):
-                    self._tables.pop(evicted_key[0], None)
         return dataset
 
     def contains(self, table: "DataTable", threshold: int) -> bool:

@@ -1,4 +1,4 @@
-"""The sweep executor: pluggable serial / process backends.
+"""The sweep executor: a serial or a process backend, chosen by ``n_jobs``.
 
 ``SweepExecutor`` runs batches of :class:`~repro.parallel.tasks.SweepTask`
 and records a :class:`~repro.parallel.timing.StageTimings` as it goes.
@@ -28,16 +28,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
-from repro.exceptions import ConfigurationError
 from repro.obs import trace as obs_trace
 from repro.parallel.tasks import SweepTask, TaskResult, execute_task
 from repro.parallel.timing import StageTiming, StageTimings, TaskTiming
 
-__all__ = ["SweepExecutor", "available_backends", "resolve_n_jobs"]
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("serial", "process")
+__all__ = ["SweepExecutor", "resolve_n_jobs"]
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -108,27 +103,19 @@ class SweepExecutor:
         anything else a process pool of ``resolve_n_jobs(n_jobs)``
         workers.  ``None`` / ``0`` use all cores; negatives count back
         from the core count.
-    backend:
-        Explicit backend override (``"serial"`` or ``"process"``),
-        mainly for tests; normally derived from ``n_jobs``.
     """
 
-    def __init__(self, n_jobs: int | None = 1, backend: str | None = None):
+    def __init__(self, n_jobs: int | None = 1):
         self.n_jobs = resolve_n_jobs(n_jobs)
-        if backend is None:
-            backend = "serial" if self.n_jobs == 1 else "process"
-        if backend not in available_backends():
-            raise ConfigurationError(
-                f"backend must be one of {available_backends()}, "
-                f"got {backend!r}"
-            )
-        self.backend_name = backend
-        self._backend = (
+        self._backend: _SerialBackend | _ProcessBackend = (
             _SerialBackend()
-            if backend == "serial"
+            if self.n_jobs == 1
             else _ProcessBackend(self.n_jobs)
         )
-        self.timings = StageTimings(backend=backend, n_jobs=self.n_jobs)
+        self.backend_name = self._backend.name
+        self.timings = StageTimings(
+            backend=self.backend_name, n_jobs=self.n_jobs
+        )
 
     # -- lifecycle -------------------------------------------------------
     def __enter__(self) -> "SweepExecutor":

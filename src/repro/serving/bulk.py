@@ -1,9 +1,10 @@
-"""Request rows → a typed DataTable for one scoring pass.
+"""Request rows → a typed DataTable.
 
-The engine scores each micro-batch as one
-:meth:`~repro.core.deployment.CrashPronenessScorer.score` call over a
-:class:`~repro.datatable.DataTable`; :func:`build_request_table` builds
-that table from validated request rows.
+No scoring path builds this table: the engine encodes request rows
+straight into the compiled plan's arrays (:mod:`repro.serving.encoder`).
+:func:`build_request_table` stays as the reference that the encoder's
+parity tests score through ``scorer.score``, and because perfbench
+times it by import path.
 """
 
 from __future__ import annotations

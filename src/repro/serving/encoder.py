@@ -15,8 +15,8 @@ The encoding reproduces the table path exactly: a
 strings, which drop trailing NUL characters, and vocabulary alignment
 maps every label outside the training vocabulary to the one unseen
 code.  ``tests/serving/test_encoder.py`` checks the probabilities
-bit for bit against ``scorer.score`` on a
-:func:`~repro.serving.bulk.build_request_table` table.
+bit for bit against ``scorer.score`` on a table of the same rows built
+by :mod:`repro.serving.bulk`.
 """
 
 from __future__ import annotations

@@ -23,9 +23,8 @@ request/response service can use:
 The engine is model-agnostic within the scorer contract: everything it
 needs (input names, column kinds) comes from
 ``CrashPronenessScorer.input_schema()``, and its compiled plan from
-``CrashPronenessScorer.scoring_plan()``.  A scorer whose tree does not
-compile is scored through a :class:`~repro.datatable.DataTable` and
-``scorer.score`` instead.
+``CrashPronenessScorer.scoring_plan()``, the one way a loaded tree
+scores.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import numpy as np
 from repro.core.deployment import CrashPronenessScorer
 from repro.exceptions import ServingError
 from repro.obs import trace as obs_trace
-from repro.serving.bulk import build_request_table
 from repro.serving.encoder import EncodedRows, RowEncoder, join
 
 __all__ = ["LRUResultCache", "ScoringEngine", "last_queue_wait_ms"]
@@ -211,11 +209,9 @@ class ScoringEngine:
         self._tracer = tracer
         self.schema = scorer.input_schema()
         self.encoder = RowEncoder(self.schema, name)
-        #: The compiled plan the engine evaluates, or None when the
-        #: scorer's tree does not compile (then passes go through
-        #: ``scorer.score`` on a DataTable).
+        #: The compiled plan every pass evaluates.
         self.plan = scorer.scoring_plan()
-        if self.plan is not None and self.plan.inputs != self.encoder.inputs:
+        if self.plan.inputs != self.encoder.inputs:
             raise ServingError(
                 f"scorer {name!r}: compiled plan inputs do not match its "
                 f"input schema"
@@ -275,9 +271,8 @@ class ScoringEngine:
                 )
                 score_span.attrs["fresh_rows"] = len(fresh)
             if fresh:
-                first = [indices[0] for indices in fresh.values()]
                 probabilities = self._evaluate(
-                    [rows[i] for i in first], encoded.take(first)
+                    encoded.take([indices[0] for indices in fresh.values()])
                 )
                 if len(probabilities) != len(fresh):
                     raise ServingError(
@@ -305,12 +300,10 @@ class ScoringEngine:
             self.n_scored += len(rows)
             return results  # fully populated: list[float]
 
-    def _evaluate(self, rows: list[dict], encoded: EncodedRows) -> np.ndarray:
-        """One model pass over distinct fresh rows: P(crash prone) per
-        row.  ``encoded`` holds the same rows encoded.  This is the
-        seam the serving tests wrap to hold or slow a pass."""
-        if self.plan is None:
-            return self.scorer.score(build_request_table(rows, self.schema))
+    def _evaluate(self, encoded: EncodedRows) -> np.ndarray:
+        """One model pass over distinct fresh encoded rows: P(crash
+        prone) per row.  This is the seam the serving tests wrap to
+        hold or slow a pass."""
         return self.plan.evaluate(encoded.plan_rows())[0]
 
     # -- micro-batched scoring ---------------------------------------------

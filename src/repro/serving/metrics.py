@@ -30,21 +30,15 @@ together.
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from collections import Counter
-from contextlib import contextmanager
-from time import perf_counter
 from typing import Callable
 
-from repro.exceptions import ReproError
 from repro.obs.histogram import LatencyHistogram
 from repro.obs.window import WindowedMetrics
 
 __all__ = ["RequestMetrics", "BUCKET_BOUNDS"]
-
-logger = logging.getLogger("repro.serving.metrics")
 
 #: Histogram bucket upper bounds in seconds (Prometheus ``le`` values);
 #: the implicit final bucket is ``+Inf``.  Each is a histogram edge.
@@ -90,7 +84,7 @@ class _EndpointRecord:
 class RequestMetrics:
     """Thread-safe bounded request counters + latency histograms.
 
-    Write with :meth:`observe` or :meth:`timed`; read with
+    Write with :meth:`observe`; read with
     :meth:`summary`, :meth:`windowed_summary`,
     :meth:`prometheus_snapshot` or :meth:`render`.  See the module
     docstring for the percentile bounds.
@@ -154,40 +148,6 @@ class RequestMetrics:
             record = self._record(endpoint)
             record.errors += 1
             record.error_types[error_type or "unknown"] += 1
-
-    @contextmanager
-    def timed(self, endpoint: str):
-        """Context manager timing one request; exceptions count as errors.
-
-        Library failures (:class:`ReproError`) are expected
-        request-level errors: counted by type and re-raised for the
-        caller's error handling.  Anything else is a bug in the serving
-        stack itself, so it is additionally logged with its traceback —
-        never discarded — before propagating.
-        """
-        start = perf_counter()
-        try:
-            yield
-        except ReproError as exc:
-            self.observe(
-                endpoint,
-                perf_counter() - start,
-                error=True,
-                error_type=type(exc).__name__,
-            )
-            raise
-        except Exception as exc:
-            self.observe(
-                endpoint,
-                perf_counter() - start,
-                error=True,
-                error_type=type(exc).__name__,
-            )
-            logger.exception(
-                "unexpected %s handling %s", type(exc).__name__, endpoint
-            )
-            raise
-        self.observe(endpoint, perf_counter() - start)
 
     # -- read side ---------------------------------------------------------
     def request_count(self, endpoint: str | None = None) -> int:

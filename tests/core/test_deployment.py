@@ -1,5 +1,6 @@
 """Tests for the deployable crash-proneness scorer."""
 
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,11 @@ import pytest
 
 from repro.core import CrashPronenessScorer
 from repro.core.deployment import payload_checksum
-from repro.exceptions import ReproError
+from repro.datatable import read_csv, write_csv
+from repro.exceptions import ColumnTypeError, ConfigurationError, ReproError
+from repro.mining.tree import TreePlan
+from repro.roads import QDTMRSyntheticGenerator, small_config
+from repro.serving import ScoringEngine
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +167,207 @@ class TestInputSchema:
         scorer.save(path)
         data = json.loads(path.read_text())
         assert data["input_schema"] == scorer.input_schema()
+
+
+def _resave(data: dict, path):
+    """Write ``data`` as an artefact, re-checksummed if it had a
+    checksum, so only the load itself can refuse it."""
+    if "checksum" in data:
+        data["checksum"] = payload_checksum(data)
+    path.write_text(json.dumps(data, allow_nan=True))
+    return path
+
+
+def _drop_branches(data):
+    del data["model"]["tree"]["branches"]
+
+
+def _drop_config(data):
+    del data["model"]["config"]
+
+
+def _drop_threshold(data):
+    del data["threshold"]
+
+
+def _drop_tree_and_checksum(data):
+    del data["model"]["tree"]
+    del data["checksum"]
+
+
+def _null_branch_child(data):
+    data["model"]["tree"]["branches"][0]["child"] = None
+
+
+class TestMalformedArtefacts:
+    """A checksum-consistent artefact of the wrong shape is a
+    ReproError naming the file, never a raw KeyError or TypeError (the
+    registry keeps last-good only for ReproErrors)."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _drop_branches,
+            _drop_config,
+            _drop_threshold,
+            _drop_tree_and_checksum,
+            _null_branch_child,
+        ],
+        ids=[
+            "tree-branches",
+            "config",
+            "threshold",
+            "tree-without-checksum",
+            "null-branch-child",
+        ],
+    )
+    def test_wrong_shape_is_a_repro_error_naming_the_file(
+        self, scorer, tmp_path, corrupt
+    ):
+        data = scorer.to_dict()
+        corrupt(data)
+        path = _resave(data, tmp_path / "malformed.json")
+        with pytest.raises(ReproError, match="malformed.json") as info:
+            CrashPronenessScorer.load(path)
+        assert not isinstance(info.value, (KeyError, TypeError))
+
+    def test_configuration_errors_pass_through(self, scorer, tmp_path):
+        data = scorer.to_dict()
+        data["model"]["config"]["min_leaf"] = 0
+        path = _resave(data, tmp_path / "bad_config.json")
+        with pytest.raises(ConfigurationError, match="min_leaf"):
+            CrashPronenessScorer.load(path)
+
+
+@pytest.fixture(scope="module")
+def mixed_scorer():
+    """A CP-8 scorer whose tree splits on numeric and nominal inputs."""
+    dataset = QDTMRSyntheticGenerator(
+        small_config(n_segments=1500, n_towns=18)
+    ).generate(seed=4)
+    return CrashPronenessScorer.train(
+        dataset.crash_instances, threshold=8, seed=4
+    )
+
+
+def _tree_nodes(node: dict):
+    yield node
+    for branch in node["branches"]:
+        yield from _tree_nodes(branch["child"])
+
+
+def _first_node(data: dict, kind: str) -> dict:
+    return next(
+        node
+        for node in _tree_nodes(data["model"]["tree"])
+        if any(branch["kind"] == kind for branch in node["branches"])
+    )
+
+
+def _unknown_split_feature(data):
+    _first_node(data, "le")["split"]["feature"] = "no_such_input"
+
+
+def _code_outside_vocabulary(data):
+    node = _first_node(data, "in")
+    levels = data["model"]["vocabularies"][node["split"]["feature"]]
+    arm = next(b for b in node["branches"] if b["kind"] == "in")
+    arm["codes"].append(len(levels) + 5)
+
+
+def _mismatched_thresholds(data):
+    arm = next(b for b in _first_node(data, "le")["branches"] if b["kind"] == "le")
+    arm["threshold"] += 1.0
+
+
+def _two_missing_arms(data):
+    node = _first_node(data, "le")
+    for branch in node["branches"][:2]:
+        node["branches"].append(dict(branch, kind="missing"))
+
+
+class TestTreeSafety:
+    """Nothing validates a plan any more: every index in a compiled
+    plan is in range by construction (DESIGN.md §8).  A saved tree the
+    plan cannot represent must be refused at load, before any row
+    reaches the kernel."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _unknown_split_feature,
+            _code_outside_vocabulary,
+            _mismatched_thresholds,
+            _two_missing_arms,
+        ],
+        ids=[
+            "unknown-split-feature",
+            "code-outside-vocabulary",
+            "mismatched-thresholds",
+            "two-missing-arms",
+        ],
+    )
+    def test_refused_at_load(self, mixed_scorer, tmp_path, monkeypatch, corrupt):
+        def kernel(*_args, **_kwargs):
+            raise AssertionError("a plan was evaluated")
+
+        monkeypatch.setattr(TreePlan, "evaluate", kernel)
+        data = mixed_scorer.to_dict()
+        corrupt(data)
+        path = _resave(data, tmp_path / "unsafe.json")
+        with pytest.raises(ReproError, match=r"node \d+ "):
+            CrashPronenessScorer.load(path)
+
+
+def _edit_csv(source, target, edit):
+    with open(source, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    edit(rows)
+    with open(target, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return read_csv(target)
+
+
+class TestColumnKinds:
+    """A scoring table settles each input's kind against the model
+    (``FeatureSet.aligned_to``)."""
+
+    @pytest.fixture()
+    def segments_csv(self, small_dataset, tmp_path):
+        path = tmp_path / "segments.csv"
+        write_csv(small_dataset.segment_table.head(300), path)
+        return path
+
+    @pytest.mark.parametrize("column", ["aadt", "seal_age"])
+    def test_stray_token_in_a_numeric_column_is_refused(
+        self, scorer, segments_csv, tmp_path, column
+    ):
+        def stray(rows):
+            rows[5][column] = "unknown"
+
+        table = _edit_csv(segments_csv, tmp_path / "stray.csv", stray)
+        with pytest.raises(ColumnTypeError, match=column) as info:
+            scorer.score(table)
+        assert "categorical" in str(info.value)
+        assert "numeric" in str(info.value)
+
+    @pytest.mark.parametrize("column", ["region", "terrain"])
+    def test_blank_categorical_column_scores_as_missing(
+        self, mixed_scorer, segments_csv, tmp_path, column
+    ):
+        def blank(rows):
+            for row in rows:
+                row[column] = ""
+
+        table = _edit_csv(segments_csv, tmp_path / "blank.csv", blank)
+        assert table.column(column).is_numeric  # how the reader types it
+        schema = mixed_scorer.input_schema()
+        rows = [
+            {name: None if name == column else row[name] for name in schema}
+            for row in (table.row(i) for i in range(table.n_rows))
+        ]
+        with ScoringEngine(mixed_scorer, cache_size=0) as engine:
+            served = engine.score_many(rows)
+        assert mixed_scorer.score(table).tolist() == served

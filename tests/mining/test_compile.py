@@ -1,15 +1,15 @@
 """Compiled scoring plans: parity with ``route_rows`` and artefact safety.
 
-The acceptance contract of the compiled-kernel subsystem (ISSUE:
-compiled scoring kernels) is that lowering a fitted tree to flat
-arrays is a pure transformation — every backend produces predictions
-and leaf assignments **bit-identical** to the interpreted
-:func:`~repro.mining.tree.structure.route_rows` walk, on any input the
-interpreter accepts: missing values, labels never seen at fit time,
-single-leaf trees.  The hypothesis tests here enforce that, and the
-rest of the module covers the persistence surface (``from_dict``
-validation rejects every payload that could aim the C kernel outside
-its buffers) and the interpreted fallback.
+The acceptance contract of the compiled-kernel subsystem is that
+lowering a fitted tree to flat arrays is a pure transformation — every
+backend produces predictions and leaf assignments **bit-identical** to
+the interpreted :func:`~repro.mining.tree.structure.route_rows` walk,
+on any input the interpreter accepts: missing values, labels never seen
+at fit time, single-leaf trees.  The hypothesis tests here enforce
+that.  The plan is the only way a fitted tree scores, so the rest of
+the module covers what replaced the interpreted fallback and the
+persisted plan: a tree that does not lower is refused (at load, for an
+artefact), and a loaded model compiles its plan from its own nodes.
 """
 
 import json
@@ -64,7 +64,6 @@ def _assert_plan_parity(model, score_table):
     features = model._features_for(score_table)
     expected_pred, expected_leaf = route_rows(model.root, features)
     plan = model.scoring_plan()
-    assert plan is not None
     for backend in (None, "numpy"):
         got_pred, got_leaf = plan.evaluate(features, backend=backend)
         assert np.array_equal(got_pred, expected_pred, equal_nan=True)
@@ -131,34 +130,37 @@ def test_predict_proba_uses_the_plan(monkeypatch):
     assert calls == [table.n_rows]
 
 
+def _sabotage_thresholds(root) -> int:
+    """Make one numeric split's ``le``/``gt`` thresholds disagree, which
+    the flat layout cannot represent faithfully; returns its node id."""
+    from repro.mining.tree import iter_nodes
+
+    split_node = next(
+        node
+        for node in iter_nodes(root)
+        if not node.is_leaf and any(b.kind == "le" for b in node.branches)
+    )
+    for branch in split_node.branches:
+        if branch.kind == "le":
+            branch.threshold = (branch.threshold or 0.0) + 1.0
+    return split_node.node_id
+
+
 class TestInterpretedFallback:
+    """There is no interpreted fallback: a tree that does not lower is
+    refused, never scored another way."""
+
     def test_non_canonical_tree_refuses_to_compile(self):
         table = _make_table(7, 80, 0.0, unseen=False)
         model = DecisionTreeClassifier(TREE_CONFIG).fit(table, "label")
-        # Sabotage one numeric split: the le/gt thresholds disagree,
-        # which the flat layout cannot represent faithfully.
-        from repro.mining.tree import iter_nodes
-
-        split_node = next(
-            node
-            for node in iter_nodes(model.root)
-            if not node.is_leaf
-            and any(b.kind == "le" for b in node.branches)
-        )
-        for branch in split_node.branches:
-            if branch.kind == "le":
-                branch.threshold = (branch.threshold or 0.0) + 1.0
+        node_id = _sabotage_thresholds(model.root)
         with pytest.raises(TreeCompileError, match="non-canonical"):
             compile_tree(
                 model.root,
                 plan_inputs(model.input_names, model.vocabularies),
             )
-        # The model itself still predicts, via the interpreted router.
-        model._reset_plan()
-        probabilities = model.predict_proba(table)
-        assert model.scoring_plan() is None
-        expected, _ = route_rows(model.root, model._features_for(table))
-        assert np.array_equal(probabilities, expected)
+        with pytest.raises(TreeCompileError, match=f"node {node_id} "):
+            model.predict_proba(table)
 
     def test_unknown_backend_rejected(self):
         table = _make_table(9, 60, 0.0, unseen=False)
@@ -168,99 +170,73 @@ class TestInterpretedFallback:
             plan.evaluate(model._features_for(table), backend="cuda")
 
 
+def _plan_arrays(plan: TreePlan) -> dict:
+    names = (
+        "kind", "feature", "threshold", "le_child", "gt_child",
+        "nan_child", "lut_offset", "lut", "prediction", "node_id",
+    )
+    return {name: getattr(plan, name).tolist() for name in names}
+
+
 class TestPersistence:
+    """A model artefact holds the tree; loading compiles the plan."""
+
     def _plan(self, seed=11):
         table = _make_table(seed, 100, 0.1, unseen=False)
         model = DecisionTreeClassifier(TREE_CONFIG).fit(table, "label")
         plan = model.scoring_plan()
-        assert plan is not None and plan.n_nodes > 1
+        assert plan.n_nodes > 1
         return model, plan, table
 
     def test_roundtrip_is_stable_and_json_safe(self):
-        _model, plan, _table = self._plan()
-        payload = plan.to_dict()
-        rebuilt = TreePlan.from_dict(json.loads(json.dumps(payload)))
-        assert rebuilt.to_dict() == payload
-        assert rebuilt.inputs == plan.inputs
+        model, plan, _table = self._plan()
+        data = model.to_dict()
+        rebuilt = DecisionTreeClassifier.from_dict(
+            json.loads(json.dumps(data))
+        )
+        assert rebuilt.to_dict() == data
+        assert rebuilt.scoring_plan().inputs == plan.inputs
+        assert _plan_arrays(rebuilt.scoring_plan()) == _plan_arrays(plan)
 
     def test_roundtripped_plan_evaluates_identically(self):
         model, plan, table = self._plan()
-        rebuilt = TreePlan.from_dict(plan.to_dict())
+        rebuilt = DecisionTreeClassifier.from_dict(model.to_dict())
         features = model._features_for(table)
         expected = plan.evaluate(features)
-        got = rebuilt.evaluate(features)
+        got = rebuilt.scoring_plan().evaluate(features)
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
 
-    def test_model_artefact_carries_the_plan(self):
-        model, plan, table = self._plan()
+    def test_model_artefact_carries_no_plan(self):
+        model, _plan, table = self._plan()
         data = model.to_dict()
-        assert data["scoring_plan"] == plan.to_dict()
+        assert "scoring_plan" not in data
         restored = DecisionTreeClassifier.from_dict(data)
-        # The persisted plan is adopted — no recompile happened.
+        # The plan is compiled at load, before any prediction.
         assert restored._plan is not None
-        assert restored._plan.to_dict() == plan.to_dict()
         assert np.array_equal(
             restored.predict_proba(table), model.predict_proba(table)
         )
 
     def test_stale_plan_payload_recompiles_silently(self):
-        model, _plan, table = self._plan()
+        """Artefacts once stored a ``scoring_plan``; whatever it holds,
+        the key is not read and the plan comes from the tree."""
+        model, plan, table = self._plan()
         data = model.to_dict()
-        data["scoring_plan"]["plan_format_version"] = 999
+        data["scoring_plan"] = {"plan_format_version": 999, "kind": [7]}
         restored = DecisionTreeClassifier.from_dict(data)
-        assert restored._plan is None  # dropped, recompiles lazily
+        assert _plan_arrays(restored.scoring_plan()) == _plan_arrays(plan)
         assert np.array_equal(
             restored.predict_proba(table), model.predict_proba(table)
         )
 
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda p: p.__setitem__("kind", p["kind"][:-1]),
-            lambda p: p["kind"].__setitem__(0, 7),
-            lambda p: p["le_child"].__setitem__(0, len(p["kind"]) + 3),
-            lambda p: p["gt_child"].__setitem__(0, -2),
-            lambda p: p["le_child"].__setitem__(0, 2**31 + 5),
-            lambda p: p.__setitem__("lut", []),
-            lambda p: p.__setitem__("threshold", "nope"),
-            lambda p: p.pop("prediction"),
-        ],
-        ids=[
-            "ragged-arrays",
-            "unknown-kind",
-            "child-past-end",
-            "negative-child",
-            "int32-wrapping-child",
-            "lut-slice-out-of-range",
-            "non-numeric-threshold",
-            "missing-key",
-        ],
-    )
-    def test_from_dict_rejects_malformed_payloads(self, corrupt):
-        """Every payload that could aim the native kernel outside its
-        buffers (or wrap during the int32 narrowing) is rejected."""
-        _model, plan, _table = self._plan()
-        payload = plan.to_dict()
-        corrupt(payload)
-        with pytest.raises(TreeCompileError):
-            TreePlan.from_dict(payload)
-
-    def test_attach_plan_rejects_mismatched_models(self):
-        model_a, plan_a, _ = self._plan(seed=11)
-        table_b = DataTable(
-            [
-                NumericColumn("other", list(range(40))),
-                CategoricalColumn(
-                    "label",
-                    ["p" if i % 2 else "n" for i in range(40)],
-                    ("n", "p"),
-                ),
-            ]
-        )
-        model_b = DecisionTreeClassifier(TREE_CONFIG).fit(table_b, "label")
-        with pytest.raises(TreeCompileError, match="inputs"):
-            model_b.attach_plan(plan_a)
+    @pytest.mark.parametrize("model_cls", [DecisionTreeClassifier, RegressionTree])
+    def test_a_tree_that_does_not_lower_is_refused_at_load(self, model_cls):
+        table = _make_table(13, 100, 0.1, unseen=False)
+        model = model_cls(TREE_CONFIG).fit(table, "label")
+        node_id = _sabotage_thresholds(model.root)
+        with pytest.raises(TreeCompileError, match=f"node {node_id} "):
+            model_cls.from_dict(model.to_dict())
 
 
 def test_numpy_and_native_backends_agree():

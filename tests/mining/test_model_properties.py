@@ -1,4 +1,10 @@
-"""Property-based tests on model behaviour."""
+"""Property-based tests on model behaviour.
+
+The two metamorphic properties at the end check chi-square trees
+against relations that hold for any correct implementation, not
+against earlier output.  Regression trees are left out: their F-test
+sums are float sums whose rounding depends on row order.
+"""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,7 +17,8 @@ from repro.mining import (
     RegressionTree,
     TreeConfig,
 )
-from repro.mining.tree import iter_leaves
+from repro.mining.tree import iter_leaves, iter_nodes
+from repro.mining.tree.serialize import node_to_dict
 
 
 @st.composite
@@ -115,3 +122,52 @@ def test_row_order_equivariance(sample, seed):
     base = model.predict_proba(table)
     permuted = model.predict_proba(table.take(perm))
     assert np.array_equal(permuted, base[perm])
+
+
+def _node_signature(model) -> list[tuple]:
+    """Per node, in pre-order: split feature, size, prediction, branch
+    kinds and p-value (thresholds move under a transform; the rest
+    must not)."""
+    return [
+        (
+            node.node_id,
+            None if node.split is None else node.split.feature,
+            node.n_samples,
+            node.prediction,
+            [branch.kind for branch in node.branches],
+            None if node.split is None else node.split.p_value,
+        )
+        for node in iter_nodes(model.root)
+    ]
+
+
+@given(labelled_tables(), st.sampled_from(["exp", "cubic"]))
+@settings(max_examples=40, deadline=None)
+def test_chi2_tree_is_invariant_under_monotone_transforms(sample, transform):
+    """A chi-square tree sees numeric inputs only through their order,
+    so a strictly increasing transform of ``x`` keeps every node and
+    sends every training row to the same leaf."""
+    table, _y = sample
+    x = table.numeric("x")
+    moved = np.exp(x) if transform == "exp" else 3 * x**3 + 7
+    transformed = table.with_column(NumericColumn.from_array("x", moved))
+    base = DecisionTreeClassifier(TREE_CONFIG).fit(table, "label")
+    model = DecisionTreeClassifier(TREE_CONFIG).fit(transformed, "label")
+    assert _node_signature(model) == _node_signature(base)
+    assert np.array_equal(model.apply(transformed), base.apply(table))
+
+
+@given(labelled_tables(), labelled_tables(), st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_chi2_tree_is_invariant_under_row_permutation(sample, fresh, seed):
+    """Training on the rows in another order grows the same tree, which
+    scores a fresh table identically."""
+    table, _y = sample
+    fresh_table, _ = fresh
+    perm = np.random.default_rng(seed).permutation(table.n_rows)
+    base = DecisionTreeClassifier(TREE_CONFIG).fit(table, "label")
+    model = DecisionTreeClassifier(TREE_CONFIG).fit(table.take(perm), "label")
+    assert node_to_dict(model.root) == node_to_dict(base.root)
+    assert np.array_equal(
+        model.predict_proba(fresh_table), base.predict_proba(fresh_table)
+    )

@@ -119,34 +119,7 @@ class TestCacheApi:
 
 
 class TestBoundedCache:
-    def test_max_entries_evicts_least_recently_used(self):
-        cache = ThresholdDatasetCache(max_entries=2)
-        table = count_table([0, 1, 5, 9])
-        cache.get(table, 0)
-        cache.get(table, 2)
-        cache.get(table, 0)  # refresh CP-0
-        cache.get(table, 4)  # evicts CP-2, the LRU entry
-        assert len(cache) == 2
-        assert cache.contains(table, 0)
-        assert cache.contains(table, 4)
-        assert not cache.contains(table, 2)
-
-    def test_eviction_releases_table_reference_when_last_entry_goes(self):
-        cache = ThresholdDatasetCache(max_entries=1)
-        first = count_table([0, 1])
-        second = count_table([2, 3])
-        cache.get(first, 0)
-        cache.get(second, 0)
-        assert not cache.contains(first, 0)
-        assert cache._tables == {id(second): second}
-
-    def test_invalid_max_entries_rejected(self):
-        import pytest
-
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="max_entries"):
-            ThresholdDatasetCache(max_entries=0)
+    """The cache has no bound: it keeps every dataset it builds."""
 
     def test_unbounded_by_default(self):
         cache = ThresholdDatasetCache()

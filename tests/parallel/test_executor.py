@@ -13,7 +13,6 @@ from repro.parallel import (
     SweepExecutor,
     SweepTask,
     TaskResult,
-    available_backends,
     execute_task,
     resolve_n_jobs,
 )
@@ -69,17 +68,6 @@ class TestBackendSelection:
     def test_process_for_many_jobs(self):
         with SweepExecutor(n_jobs=2) as executor:
             assert executor.backend_name == "process"
-
-    def test_explicit_backend_override(self):
-        executor = SweepExecutor(n_jobs=4, backend="serial")
-        assert executor.backend_name == "serial"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(n_jobs=2, backend="threads")
-
-    def test_both_backends_advertised(self):
-        assert available_backends() == ("serial", "process")
 
 
 class TestExecuteTask:

@@ -49,10 +49,9 @@ class GatedPass:
     is set.
 
     Installed over :meth:`ScoringEngine._evaluate`, the one call a
-    pass makes into the model (the compiled plan, or ``scorer.score``
-    when the tree does not compile).  Each call first sets ``in_pass``
-    and waits on ``gate``, then records the pass's distinct fresh row
-    count in ``passes`` and delegates.  Holding the engine's worker
+    pass makes into the model (the compiled plan).  Each call first
+    sets ``in_pass`` and waits on ``gate``, then records the pass's
+    distinct fresh row count in ``passes`` and delegates.  Holding the engine's worker
     inside a pass lets a test queue requests behind it
     deterministically, instead of relying on timing.
     """
@@ -63,12 +62,12 @@ class GatedPass:
         self.in_pass = threading.Event()
         self.passes: list[int] = []
 
-    def __call__(self, rows, encoded):
+    def __call__(self, encoded):
         self.in_pass.set()
         if not self.gate.wait(30.0):
             raise AssertionError("gate was never opened")
-        self.passes.append(len(rows))
-        return self.evaluate(rows, encoded)
+        self.passes.append(len(encoded.keys))
+        return self.evaluate(encoded)
 
 
 @pytest.fixture()

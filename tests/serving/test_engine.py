@@ -192,9 +192,9 @@ class SlowPass:
         self.evaluate = evaluate
         self.delay = delay
 
-    def __call__(self, rows, encoded):
+    def __call__(self, encoded):
         time.sleep(self.delay)
-        return self.evaluate(rows, encoded)
+        return self.evaluate(encoded)
 
 
 class TestTimeout:
@@ -412,7 +412,7 @@ class TestIntegrity:
         """A scoring pass that loses rows must raise, not silently
         drop slots and shift later probabilities onto wrong rows."""
         original = engine._evaluate
-        engine._evaluate = lambda rows, encoded: original(rows, encoded)[:-1]
+        engine._evaluate = lambda encoded: original(encoded)[:-1]
         with pytest.raises(ServingError, match="probabilities"):
             engine.score_rows(segment_rows[:4])
 

@@ -26,20 +26,6 @@ class TestObserve:
         assert metrics.error_count("POST /v1/score") == 1
         assert metrics.error_count() == 1
 
-    def test_timed_context_manager(self):
-        metrics = RequestMetrics()
-        with metrics.timed("GET /models"):
-            pass
-        assert metrics.request_count("GET /models") == 1
-        assert metrics.error_count("GET /models") == 0
-
-    def test_timed_counts_exceptions_as_errors(self):
-        metrics = RequestMetrics()
-        with pytest.raises(ValueError):
-            with metrics.timed("GET /models"):
-                raise ValueError("boom")
-        assert metrics.error_count("GET /models") == 1
-
     def test_thread_safety(self):
         metrics = RequestMetrics()
 

@@ -5,7 +5,7 @@ whose rows take several micro-batch passes must come back as a SINGLE
 connected span tree — handler thread → engine → batch worker → kernel
 — with every parent/child link intact.  Alongside it: the Prometheus
 exposition endpoint, fixed-cardinality 404 labels, the structured
-access log, and the post-``timed()`` error accounting.
+access log, and the error accounting after a request is observed.
 """
 
 import http.client

@@ -14,6 +14,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.deployment import payload_checksum
 from repro.exceptions import ServingError
 from repro.obs.prometheus import validate_exposition
 from repro.serving import ScorerRegistry, ScoringService
@@ -51,6 +52,33 @@ def _rollback_version(path):
     _bump_mtime(path)
 
 
+def _rechecksummed(path, edit):
+    """Edit the artefact, then re-checksum it: only the load can tell."""
+    data = json.loads(path.read_text())
+    edit(data)
+    data["checksum"] = payload_checksum(data)
+    path.write_text(json.dumps(data, allow_nan=True))
+    _bump_mtime(path)
+
+
+def _drop_tree_branches(path):
+    _rechecksummed(path, lambda data: data["model"]["tree"].pop("branches"))
+
+
+def _non_canonical_tree(path):
+    def mismatch_thresholds(data):
+        stack = [data["model"]["tree"]]
+        while stack:
+            node = stack.pop()
+            for branch in node["branches"]:
+                if branch["kind"] == "le":
+                    branch["threshold"] += 1.0
+                    return
+                stack.append(branch["child"])
+
+    _rechecksummed(path, mismatch_thresholds)
+
+
 class TestKeepLastGood:
     @pytest.mark.parametrize(
         "corrupt, error_type",
@@ -58,8 +86,13 @@ class TestKeepLastGood:
             (_corrupt_checksum, "checksum_mismatch"),
             (_truncate, "invalid_json"),
             (_rollback_version, "format_version"),
+            (_drop_tree_branches, "load_error"),
+            (_non_canonical_tree, "load_error"),
         ],
-        ids=["checksum", "truncated", "rollback"],
+        ids=[
+            "checksum", "truncated", "rollback", "tree-branches-dropped",
+            "non-canonical-tree",
+        ],
     )
     def test_corruption_mid_run_keeps_serving(
         self, model_dir, tmp_path, corrupt, error_type

@@ -178,6 +178,33 @@ class TestCommands:
         # The CSV is ranked descending and agrees with the JSON head.
         assert float(probabilities[0]) == first["probability"]
 
+    def test_score_refuses_a_stray_token_in_a_numeric_column(
+        self, tmp_path, capsys
+    ):
+        """One non-numeric cell makes the CSV reader type the column
+        categorical; scoring it against numeric thresholds would change
+        other rows' probabilities, so ``score`` refuses the file."""
+        import csv
+
+        from repro.exceptions import ColumnTypeError
+
+        model_path = tmp_path / "scorer.json"
+        assert main(
+            ["train", str(model_path), "--segments", "800", "--seed", "5"]
+        ) == 0
+        out_dir = tmp_path / "data"
+        main(["generate", str(out_dir), "--segments", "200", "--seed", "6"])
+        source = out_dir / "segments.csv"
+        with open(source, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[3]["aadt"] = "unknown"
+        with open(source, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        with pytest.raises(ColumnTypeError, match="'aadt'"):
+            main(["score", str(model_path), str(source), "--no-cache"])
+
     def test_loadtest_self_host_and_slo_gate(self, tmp_path, capsys):
         model_dir = tmp_path / "models"
         model_dir.mkdir()
