@@ -55,6 +55,7 @@ from repro.core.deployment import CrashPronenessScorer
 from repro.core.reporting import render_series, render_table
 from repro.core.wet_dry import wet_dry_analysis
 from repro.datatable import cached_read_csv, read_csv, write_csv
+from repro.exceptions import ReproError
 from repro.roads import (
     QDTMRSyntheticGenerator,
     calibrate_crash_process,
@@ -1254,8 +1255,20 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit code.
+
+    A :class:`~repro.exceptions.ReproError` is a user's input error (a
+    missing model file, a malformed CSV column): it prints one line to
+    stderr and exits 2, as argparse does for a bad option.  Exit code 1
+    stays reserved for a run that completed and failed its checks (an
+    SLO violation).  Any other exception is a bug and propagates.
+    """
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"repro-study: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

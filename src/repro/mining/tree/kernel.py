@@ -11,12 +11,14 @@ shared object is compiled a single time and cached under a
 content-addressed file name; every process (including the study's
 sweep pool workers) just ``dlopen``\\ s the cached artefact.  A
 plan's ten arrays are bound into the kernel once
-(:meth:`NativeKernel.bind`), so a call marshals only the row block,
-the row count and the outputs.  When no C compiler is available, the
-build fails, or ``REPRO_NO_NATIVE_KERNEL`` is set, :func:`native_kernel`
-returns ``None`` and callers fall back to the pure-numpy block
-evaluator, so the native path is strictly an accelerator and never a
-behavioural dependency.
+(:meth:`NativeKernel.bind`), so a call marshals only the rows, the row
+count and the outputs.  A 2-D row block reaches the C side as two base
+addresses; only a list of separate columns needs a pointer table built
+in Python.  When no C compiler is available, the build fails, or
+``REPRO_NO_NATIVE_KERNEL`` is set when the kernel is first asked for,
+:func:`native_kernel` returns ``None`` and callers fall back to the
+pure-numpy block evaluator, so the native path is strictly an
+accelerator and never a behavioural dependency.
 
 Semantics match the numpy evaluator bit for bit: IEEE-754 double
 comparisons (``v <= t`` and ``v > t`` are both false for NaN, which
@@ -47,7 +49,8 @@ __all__ = [
 ]
 
 #: Environment switch: set to any non-empty value to force the
-#: pure-numpy evaluator (useful for parity tests and debugging).
+#: pure-numpy evaluator (useful for parity tests and debugging).  It is
+#: read once, when the kernel is first asked for.
 DISABLE_ENV = "REPRO_NO_NATIVE_KERNEL"
 
 #: Override the directory holding the compiled shared object.
@@ -60,10 +63,12 @@ _SOURCE = r"""
 
    kind: 0 = leaf, 1 = numeric split, 2 = nominal split.
    The plan's ten arrays are bound once into a repro_plan; a call
-   passes only the rows.  values / codes: one pointer per plan input
-   column, each n_rows long.  Nominal codes arrive pre-shifted (+1) so
-   they index the node's LUT slice directly: slot 0 = missing,
-   1..n = vocabulary, n+1 = unseen.
+   passes only the rows.  repro_score_block takes values / codes as
+   one pointer per plan input column, each n_rows long;
+   repro_score_rows takes them as C-contiguous [n_inputs, n_rows]
+   blocks and builds those pointer tables itself.  Nominal codes
+   arrive pre-shifted (+1) so they index the node's LUT slice
+   directly: slot 0 = missing, 1..n = vocabulary, n+1 = unseen.
 
    NaN routing falls out of IEEE-754: a NaN value fails both the
    "<= threshold" and "> threshold" tests and lands on nan_child.  */
@@ -115,6 +120,21 @@ void repro_score_block(
         out_leaf[i] = plan->node_id[node];
     }
 }
+
+void repro_score_rows(
+    const repro_plan *plan,
+    const double *values, int64_t n_values,
+    const int64_t *codes, int64_t n_codes,
+    int64_t n_rows, double *out_pred, int64_t *out_leaf)
+{
+    const double *value_cols[n_values > 0 ? n_values : 1];
+    const int64_t *code_cols[n_codes > 0 ? n_codes : 1];
+    for (int64_t f = 0; f < n_values; f++)
+        value_cols[f] = values + f * n_rows;
+    for (int64_t f = 0; f < n_codes; f++)
+        code_cols[f] = codes + f * n_rows;
+    repro_score_block(plan, value_cols, code_cols, n_rows, out_pred, out_leaf);
+}
 """
 
 #: The plan arrays in ``repro_plan`` field order, with the dtype the C
@@ -141,17 +161,16 @@ class BoundPlan:
     """One plan's arrays bound into the kernel.
 
     The ten plan pointers are marshalled once, into a ``repro_plan``
-    struct; a call passes the struct's address, the two column pointer
-    tables, the row count and the outputs.  The bound arrays are held
-    here, so their buffers outlive every call.  The struct holds this
-    process's addresses: a pickled
-    :class:`~repro.mining.tree.compile.TreePlan` leaves its binding
-    behind and binds again where it is used.
+    struct; a call passes the struct's address, the rows, the row
+    count and the outputs.  The bound arrays are held here, so their
+    buffers outlive every call.  The struct holds this process's
+    addresses: a pickled :class:`~repro.mining.tree.compile.TreePlan`
+    leaves its binding behind and binds again where it is used.
     """
 
-    __slots__ = ("_fn", "_arrays", "_plan", "_address")
+    __slots__ = ("_kernel", "_arrays", "_plan", "_address")
 
-    def __init__(self, fn, plan) -> None:
+    def __init__(self, kernel: "NativeKernel", plan) -> None:
         arrays = []
         for name, dtype in PLAN_ARRAYS:
             array = getattr(plan, name)
@@ -160,7 +179,7 @@ class BoundPlan:
                     f"plan array {name!r} must be C-contiguous {np.dtype(dtype)}"
                 )
             arrays.append(array)
-        self._fn = fn
+        self._kernel = kernel
         self._arrays = tuple(arrays)
         self._plan = _Plan(*(array.ctypes.data for array in arrays))
         self._address = ctypes.addressof(self._plan)
@@ -174,51 +193,63 @@ class BoundPlan:
         """Route ``n_rows`` rows.  ``values`` holds one C-contiguous
         float64 column per numeric input and ``codes`` one int64 column
         of LUT-shifted codes per nominal input, each ``n_rows`` long:
-        a list of arrays, or a C-contiguous 2-D block with one input
-        per row.  The caller checks them; the C side trusts them."""
+        lists of arrays, or C-contiguous 2-D blocks with one input per
+        row (both in the same form).  The caller checks them; the C
+        side trusts them."""
         out_pred = np.empty(n_rows, dtype=np.float64)
         out_leaf = np.empty(n_rows, dtype=np.int64)
-        self._fn(
-            self._address,
-            _column_pointers(values),
-            _column_pointers(codes),
-            n_rows,
-            out_pred.ctypes.data,
-            out_leaf.ctypes.data,
-        )
+        if isinstance(values, np.ndarray):
+            self._kernel.score_rows(
+                self._address,
+                values.ctypes.data,
+                values.shape[0],
+                codes.ctypes.data,
+                codes.shape[0],
+                n_rows,
+                out_pred.ctypes.data,
+                out_leaf.ctypes.data,
+            )
+        else:
+            self._kernel.score_block(
+                self._address,
+                _column_pointers(values),
+                _column_pointers(codes),
+                n_rows,
+                out_pred.ctypes.data,
+                out_leaf.ctypes.data,
+            )
         return out_pred, out_leaf
 
 
 def _column_pointers(columns: Sequence[np.ndarray]) -> ctypes.Array:
     """The address of each column: the C side's pointer table."""
-    if isinstance(columns, np.ndarray):  # a 2-D block, one column per row
-        base, step = columns.ctypes.data, columns.strides[0]
-        addresses = [base + step * j for j in range(columns.shape[0])]
-    else:
-        addresses = [column.ctypes.data for column in columns]
+    addresses = [column.ctypes.data for column in columns]
     return (ctypes.c_void_p * len(addresses))(*addresses)
 
 
 class NativeKernel:
-    """ctypes wrapper around the compiled ``repro_score_block``."""
+    """ctypes wrapper around the compiled ``repro_score_block`` (columns
+    as pointer tables) and ``repro_score_rows`` (columns as 2-D
+    blocks)."""
 
     def __init__(self, library: ctypes.CDLL, path: str):
         self.path = path
-        self._fn = library.repro_score_block
-        self._fn.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_int64,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
+        pointer, count = ctypes.c_void_p, ctypes.c_int64
+        self.score_block = library.repro_score_block
+        self.score_block.argtypes = [
+            pointer, pointer, pointer, count, pointer, pointer
         ]
-        self._fn.restype = None
+        self.score_block.restype = None
+        self.score_rows = library.repro_score_rows
+        self.score_rows.argtypes = [
+            pointer, pointer, count, pointer, count, count, pointer, pointer
+        ]
+        self.score_rows.restype = None
 
     def bind(self, plan) -> BoundPlan:
         """Bind ``plan``'s arrays (the attributes named in
         :data:`PLAN_ARRAYS`) for repeated calls."""
-        return BoundPlan(self._fn, plan)
+        return BoundPlan(self, plan)
 
 
 _lock = threading.Lock()
@@ -268,27 +299,31 @@ def _build_and_load() -> NativeKernel:
 def native_kernel() -> NativeKernel | None:
     """The process-wide native kernel, or ``None`` when unavailable.
 
-    The first call attempts the (cached) build; failures are remembered
-    so a broken toolchain costs one attempt, not one per evaluation.
+    The first call reads :data:`DISABLE_ENV` and attempts the (cached)
+    build; the outcome is remembered, so a broken toolchain costs one
+    attempt, not one per evaluation, and every later call returns it
+    without taking the lock.
     """
     global _kernel, _status, _attempted
-    if os.environ.get(DISABLE_ENV):
-        return None
+    if _attempted:
+        return _kernel
     with _lock:  # repro: ignore[REP102] -- build-once guard: the lock must cover the compiler run so concurrent first callers cannot race the .so build; it blocks exactly once per process, then every call is a cached read
         if not _attempted:
+            if os.environ.get(DISABLE_ENV):
+                _status = f"disabled via {DISABLE_ENV}"
+            else:
+                try:
+                    _kernel = _build_and_load()
+                    _status = f"native ({_kernel.path})"
+                except Exception as exc:  # no compiler, sandboxed tmp, ...
+                    _status = f"unavailable: {exc}"
+            # Published last: a reader that sees it set without the
+            # lock also sees the outcome.
             _attempted = True
-            try:
-                _kernel = _build_and_load()
-                _status = f"native ({_kernel.path})"
-            except Exception as exc:  # no compiler, sandboxed tmp, ...
-                _kernel = None
-                _status = f"unavailable: {exc}"
         return _kernel
 
 
 def native_kernel_status() -> str:
     """Human-readable backend status (for benchmarks and stats)."""
-    if os.environ.get(DISABLE_ENV):
-        return f"disabled via {DISABLE_ENV}"
     native_kernel()
     return _status

@@ -83,7 +83,7 @@ _ENGINE_COUNTERS = (
     ("rows_scored", "repro_engine_rows_scored_total",
      "Rows scored by the engine (all paths)."),
     ("batches", "repro_engine_batches_total",
-     "Micro-batches executed by the engine worker."),
+     "Micro-batch passes the engine has run."),
     ("cache_hits", "repro_engine_cache_hits_total",
      "LRU result-cache hits."),
     ("cache_misses", "repro_engine_cache_misses_total",

@@ -9,14 +9,19 @@ request/response service can use:
   against the input schema (missing columns, numbers where labels
   belong, and vice versa) and writes it straight into the compiled
   plan's input arrays before it gets near the model;
-* **micro-batching** — each request is one queue entry, and a worker
-  scores whole requests as *one* plan evaluation, amortising per-call
-  overhead exactly the way the study amortises per-threshold work.
-  The worker clocks itself: it takes every request already queued (up
-  to ``max_batch`` rows, cutting a larger request into slices) and
-  waits for more only while the pass holds fewer requests than the
-  previous pass did.  A lone request is scored at once;
-  ``max_wait_ms`` caps the wait, it is not a delay every request pays;
+* **micro-batching** — each request is one entry in a pending queue,
+  and whole requests are scored as *one* plan evaluation, amortising
+  per-call overhead exactly the way the study amortises per-threshold
+  work.  The engine owns no thread: a pass runs on the thread of the
+  caller that holds the *lead*.  A caller that finds no pass running
+  leads at once; one that arrives during a pass queues behind it and
+  waits on its own event, and a leader whose own request is scored
+  hands the lead to the oldest waiting caller.  A pass takes every
+  request already queued (up to ``max_batch`` rows, cutting a larger
+  request into slices) and waits for more only while it holds fewer
+  requests than the previous pass did.  A lone request is scored at
+  once on its caller's thread; ``max_wait_ms`` caps the wait, it is
+  not a delay every request pays;
 * **LRU result caching** — road segments re-score constantly with
   unchanged attributes, so results are cached by encoded row.
 
@@ -29,10 +34,9 @@ scores.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from contextvars import ContextVar
 from typing import cast
 
@@ -46,15 +50,13 @@ from repro.serving.encoder import EncodedRows, RowEncoder, join
 __all__ = ["LRUResultCache", "ScoringEngine", "last_queue_wait_ms"]
 
 #: Milliseconds the calling request spent in the micro-batch queue
-#: (until its last slice was taken), published per-context by
+#: (until a pass took its last slice), published per-context by
 #: :meth:`ScoringEngine.score_one` / :meth:`ScoringEngine.score_many`
 #: after their waits resolve.  The HTTP layer resets it per request and
 #: copies it into the access log (``queue_wait_ms``).
 last_queue_wait_ms: ContextVar[float | None] = ContextVar(
     "repro_engine_last_queue_wait_ms", default=None
 )
-
-_SHUTDOWN = object()
 
 
 class LRUResultCache:
@@ -103,57 +105,67 @@ class LRUResultCache:
 
 
 class _Request:
-    """One queued request: its encoded rows and the event its caller
-    blocks on.
+    """One queued request: its encoded rows and its caller's state.
 
-    The worker takes a request whole, or in slices when it holds more
-    rows than fit in a pass; ``taken`` counts the rows handed to
-    passes.  Slices are scored in order by the one worker, so the
-    event is set when the last slice resolves, or when the request
-    fails.
+    A pass takes a request whole, or in slices when it holds more rows
+    than fit; ``taken`` counts the rows handed to passes.  Passes run
+    one at a time, so slices resolve in order: ``probabilities`` grows
+    by one slice per pass, and ``done`` is set when the last slice
+    resolves or the request fails.  ``lead`` is set while the caller
+    holds the lead.  ``event`` is None for a caller that leads at once;
+    a caller that queues behind a pass blocks on it until its request
+    is done or the lead is handed to it.
     ``trace_context`` is the submitting request's span context (None
-    when nobody is tracing): the micro-batch worker thread runs in no
-    request's context, so the link from a request to the pass that
-    scored it must travel with the entry.  ``enqueued_at`` feeds the
-    batch span's queue-wait attribute; ``dequeued_at`` is stamped by
-    the worker each time a pass takes a slice, so the waiting caller
-    can report its own queue wait after :meth:`wait` returns (the
-    event set orders the write before the read).
+    when nobody is tracing): the pass that scores a request may run on
+    another caller's thread, so the link from a request to its pass
+    travels with the entry.  ``enqueued_at`` feeds the batch span's
+    queue-wait attribute; ``dequeued_at`` is stamped each time a pass
+    takes a slice, so the caller can report its own queue wait.
     """
 
     __slots__ = (
-        "rows", "encoded", "probabilities", "taken", "error",
-        "enqueued_at", "dequeued_at", "trace_context", "_event",
+        "rows", "encoded", "probabilities", "taken", "done", "error",
+        "lead", "event", "enqueued_at", "dequeued_at", "trace_context",
     )
 
     def __init__(self, rows: list, encoded: EncodedRows, trace_context=None):
         self.rows = rows
         self.encoded = encoded
-        self.probabilities: list[float] = [0.0] * len(rows)
+        self.probabilities: list[float] = []
         self.taken = 0
+        self.done = False
         self.error: Exception | None = None
+        self.lead = False
+        self.event: threading.Event | None = None
         self.enqueued_at = time.monotonic()
         self.dequeued_at: float | None = None
         self.trace_context = trace_context
-        self._event = threading.Event()
 
-    def resolve(self, start: int, probabilities: list[float]) -> None:
-        stop = start + len(probabilities)
-        self.probabilities[start:stop] = probabilities
-        if stop == len(self.rows):
-            self._event.set()
+    def resolve(self, probabilities: list[float]) -> None:
+        """Record the next slice's probabilities."""
+        self.probabilities += probabilities
+        if len(self.probabilities) == len(self.rows):
+            self.done = True
+            self.wake()
 
     def fail(self, error: Exception) -> None:
         self.error = error
-        self._event.set()
+        self.done = True
+        self.wake()
+
+    def wake(self) -> None:
+        """Wake a queued caller: its request is done or it now leads."""
+        if self.event is not None:
+            self.event.set()
 
     def wait(self, deadline: float | None) -> bool:
-        """Block until resolved or until ``deadline`` (a
-        :func:`time.monotonic` instant; ``None`` waits for ever).
-        Returns False on timeout."""
+        """Block a queued caller until it is woken or until
+        ``deadline`` (a :func:`time.monotonic` instant; ``None`` waits
+        for ever).  Returns False on timeout."""
+        event = cast(threading.Event, self.event)
         if deadline is None:
-            return self._event.wait()
-        return self._event.wait(max(0.0, deadline - time.monotonic()))
+            return event.wait()
+        return event.wait(max(0.0, deadline - time.monotonic()))
 
     def result(self) -> list[float]:
         if self.error is not None:
@@ -174,19 +186,22 @@ class ScoringEngine:
         Micro-batch size cap in rows; no pass holds more, and a request
         with more rows is scored in slices.
     max_wait_ms:
-        Cap on how long the worker holds an open batch for more
-        requests after taking its first.  It is a cap, not a delay
-        every request pays: the worker waits only while the batch has
-        fewer requests than the previous pass did, so a lone request is
-        scored at once (see :meth:`_run`).
+        Cap on how long a pass holds an open batch for more requests
+        after taking its first.  It is a cap, not a delay every request
+        pays: a pass waits only while it has fewer requests than the
+        previous pass did, so a lone request is scored at once (see
+        :meth:`_run_pass`).
     cache_size:
         LRU capacity in rows; ``0`` disables the result cache.
     tracer:
-        The :class:`~repro.obs.trace.Tracer` that receives the
-        micro-batch worker's spans.  The worker thread runs in no
-        request's context, so it cannot rely on the context-local
-        tracer; ``None`` (default) falls back to the process-wide
-        default tracer at batch time.
+        The :class:`~repro.obs.trace.Tracer` that receives the batch
+        spans.  A pass runs on whichever caller holds the lead, whose
+        context-local tracer may be another one; ``None`` (default)
+        falls back to the process-wide default tracer at batch time.
+
+    The engine starts no thread.  One lock guards the pending queue,
+    the lead flag and the pass statistics, and is never held across a
+    pass; a leader gathering callers waits on its condition.
     """
 
     def __init__(
@@ -223,12 +238,12 @@ class ScoringEngine:
         self.batched_rows = 0
         self.max_batch_observed = 0
         self.n_scored = 0
-        self._queue: queue.Queue = queue.Queue()
+        self._lock = threading.Lock()
+        self._arrived = threading.Condition(self._lock)
+        self._pending: deque[_Request] = deque()
+        self._leading = False
+        self._expected = 0
         self._closed = False
-        self._worker = threading.Thread(
-            target=self._run, name=f"scoring-engine-{name}", daemon=True
-        )
-        self._worker.start()
 
     # -- validation --------------------------------------------------------
     def validate_row(self, row: object, index: int = 0) -> dict:
@@ -309,10 +324,14 @@ class ScoringEngine:
     # -- micro-batched scoring ---------------------------------------------
     def submit(self, *rows: dict) -> _Request:
         """Validate and encode one request's rows, then queue them as
-        one entry for the micro-batch worker.
+        one entry.
 
         Every row is checked before the request is queued, so an
         invalid row rejects the whole request and costs no model pass.
+        A caller that finds no pass running takes the lead; one that
+        queues behind a pass gets an event to wait on.  Either way the
+        request must go on to :meth:`_wait`, which scores it or waits
+        for it.
         """
         if self._closed:
             raise ServingError(f"engine {self.name!r} is closed")
@@ -321,17 +340,41 @@ class ScoringEngine:
             self.encoder.encode(rows),
             trace_context=obs_trace.current_context(),
         )
-        self._queue.put(request)
+        with self._lock:
+            if self._leading:
+                request.event = threading.Event()
+                self._arrived.notify()
+            else:
+                self._leading = request.lead = True
+            self._pending.append(request)
         return request
 
     def _wait(self, request: _Request, timeout: float | None) -> list[float]:
         """The request's probabilities, under one deadline for the call.
 
-        ``timeout`` bounds the call's whole wait, however many passes
-        its slices take.  Sets :data:`last_queue_wait_ms`.
+        While the caller holds the lead it runs passes on its own
+        thread until its request is done, checking ``timeout`` between
+        passes, never inside one; a queued caller blocks until its
+        request is done or the lead is handed to it.  ``timeout``
+        bounds the call's whole wait, however many passes its slices
+        take.  A caller that leaves early (timed out, or interrupted)
+        withdraws its untaken rows, and every leader passes the lead on
+        as it leaves, so queued work never waits without a leader.
+        Sets :data:`last_queue_wait_ms`.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        if not request.wait(deadline):
+        try:
+            while not request.done:
+                if request.lead:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        break
+                    self._run_pass()
+                elif not request.wait(deadline):
+                    break
+        finally:
+            if request.lead or not request.done:
+                self._leave(request)
+        if not request.done:
             raise ServingError(f"scoring request timed out after {timeout}s")
         probabilities = request.result()
         if request.dequeued_at is not None:
@@ -339,6 +382,24 @@ class ScoringEngine:
                 round(1000.0 * (request.dequeued_at - request.enqueued_at), 3)
             )
         return probabilities
+
+    def _leave(self, request: _Request) -> None:
+        """Withdraw ``request``'s untaken rows and, if its caller holds
+        the lead, hand the lead to the oldest waiting caller."""
+        with self._lock:
+            if not request.done:
+                try:
+                    self._pending.remove(request)
+                except ValueError:  # wholly taken already
+                    pass
+            if request.lead:
+                request.lead = False
+                if self._pending:
+                    successor = self._pending[0]
+                    successor.lead = True
+                    successor.wake()
+                else:
+                    self._leading = False
 
     def score_one(self, row: dict, timeout: float | None = 30.0) -> float:
         """Score a single row through the micro-batcher (blocking)."""
@@ -362,73 +423,54 @@ class ScoringEngine:
     # wraps this import path; delete it with that target (ROADMAP).
     score_batch = score_many
 
-    def _run(self) -> None:
-        """The micro-batch worker: one self-clocking loop.
+    def _run_pass(self) -> None:
+        """Assemble one pass from the head of the queue and score it on
+        the calling (leading) thread.
 
-        Block for the first request, then take every request already
-        queued, up to ``max_batch`` rows; a request that does not fit
-        is cut, and its remaining rows open the next pass.  Wait for
-        more only while the pass holds fewer requests than the
-        previous pass did, and never longer than ``max_wait_ms`` after
-        taking the first.  A lone request is scored at once; N
-        closed-loop callers that shared the last pass are scored as
-        soon as the N-th arrives; when load drops, one pass waits out
-        the cap and the next expects fewer.  Greedy dispatch alone
-        (never wait) splits concurrent callers into many small passes
-        and loses throughput under load.
+        Take every request already queued, up to ``max_batch`` rows; a
+        request that does not fit is cut, and its remaining rows stay
+        at the head to open the next pass.  Wait for more only while
+        the pass holds fewer requests than the previous pass did, and
+        never longer than ``max_wait_ms`` after taking the first.  A
+        lone request is scored at once; N closed-loop callers that
+        shared the last pass are scored as soon as the N-th arrives;
+        when load drops, one pass waits out the cap and the next
+        expects fewer.  Greedy dispatch alone (never wait) splits
+        concurrent callers into many small passes and loses throughput
+        under load.
         """
-        stopping = False
-        expected = 0
-        carry: _Request | None = None
-        while True:
-            if carry is not None:
-                item, carry = carry, None
-            elif stopping:
-                break
-            else:
-                item = self._queue.get()
-                if item is _SHUTDOWN:
-                    break
-            slices: list[tuple[_Request, int, int]] = []
-            size = self._take(item, slices, 0)
-            deadline = time.monotonic() + self.max_wait_ms / 1000.0
+        slices: list[tuple[_Request, int, int]] = []
+        size = 0
+        with self._lock:
+            cap = time.monotonic() + self.max_wait_ms / 1000.0
             while size < self.max_batch:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    remaining = deadline - time.monotonic()
-                    if len(slices) >= expected or remaining <= 0:
-                        break
-                    try:
-                        item = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                if item is _SHUTDOWN:
-                    stopping = True
+                if self._pending:
+                    size = self._take(slices, size)
+                    continue
+                remaining = cap - time.monotonic()
+                if (
+                    len(slices) >= self._expected
+                    or remaining <= 0
+                    or self._closed
+                ):
                     break
-                size = self._take(item, slices, size)
-            last = slices[-1][0]
-            if last.taken < len(last.rows):
-                carry = last
-            expected = len(slices)
+                self._arrived.wait(remaining)
+            self._expected = len(slices)
             self.batches += 1
             self.batched_rows += size
             self.max_batch_observed = max(self.max_batch_observed, size)
-            self._score_pass(slices, size)
-            if carry is not None and carry.error is not None:
-                carry = None
+        self._score_pass(slices, size)
 
-    def _take(
-        self,
-        request: _Request,
-        slices: list[tuple[_Request, int, int]],
-        size: int,
-    ) -> int:
-        """Add as many of ``request``'s untaken rows as fit; returns
-        the pass's new size."""
+    def _take(self, slices: list[tuple[_Request, int, int]], size: int) -> int:
+        """Add as many of the head request's untaken rows as fit, and
+        dequeue it once it is wholly taken; returns the pass's new
+        size.  Called with the lock held."""
+        request = self._pending[0]
         start = request.taken
         stop = min(len(request.rows), start + self.max_batch - size)
         request.taken = stop
+        if stop == len(request.rows):
+            self._pending.popleft()
         slices.append((request, start, stop))
         return size + stop - start
 
@@ -437,19 +479,23 @@ class ScoringEngine:
     ) -> None:
         """Score one assembled pass and resolve its requests.
 
-        Runs in the worker thread, which has no request context: the
-        batch span goes to the engine's own tracer and parents onto
-        the *first* request's shipped context (the request that opened
-        the pass), carrying the pass size in rows, that request's queue
-        wait, the number of requests, and the span contexts of the
-        other requests (``links``) so every request in the pass can
-        find it.
+        Runs on the leader's thread, outside the lock, under the
+        engine's own tracer.  The batch span parents onto the *first*
+        request's shipped context (the request that opened the pass),
+        carrying the pass size in rows, that request's queue wait, the
+        number of requests, and the span contexts of the other requests
+        (``links``) so every request in the pass can find it.  A pass
+        that raises fails every request in it.
         """
         tracer = (
             self._tracer
             if self._tracer is not None
             else obs_trace.get_default_tracer()
         )
+        if obs_trace.current_tracer() is not tracer:
+            with obs_trace.use_tracer(tracer):
+                self._score_pass(slices, size)
+            return
         dequeued_at = time.monotonic()
         for request, _start, _stop in slices:
             request.dequeued_at = dequeued_at
@@ -462,7 +508,7 @@ class ScoringEngine:
                 for request, _start, _stop in slices[1:]
                 if (ctx := request.trace_context) is not None
             ]
-        with obs_trace.use_tracer(tracer), tracer.span(
+        with tracer.span(
             "engine.batch",
             parent=opener.trace_context,
             batch_size=size,
@@ -470,36 +516,45 @@ class ScoringEngine:
             callers=len(slices),
             links=links,
         ):
-            rows = [
-                row
-                for request, start, stop in slices
-                for row in request.rows[start:stop]
-            ]
-            encoded = join(
-                [(request.encoded, start, stop) for request, start, stop in slices]
-            )
+            if len(slices) == 1 and size == len(opener.rows):
+                rows, encoded = opener.rows, opener.encoded
+            else:
+                rows = [
+                    row
+                    for request, start, stop in slices
+                    for row in request.rows[start:stop]
+                ]
+                encoded = join(
+                    [
+                        (request.encoded, start, stop)
+                        for request, start, stop in slices
+                    ]
+                )
             try:
                 probabilities = self.score_rows(rows, encoded)
-            except Exception as exc:  # pragma: no cover - defensive
+            except Exception as exc:
                 for request, _start, _stop in slices:
                     request.fail(exc)
+                # A request cut by this pass heads the queue; it is
+                # done now, so it must not open the next pass.
+                with self._lock:
+                    if self._pending and self._pending[0] is slices[-1][0]:
+                        self._pending.popleft()
             else:
                 offset = 0
                 for request, start, stop in slices:
                     width = stop - start
-                    request.resolve(
-                        start, probabilities[offset : offset + width]
-                    )
+                    request.resolve(probabilities[offset : offset + width])
                     offset += width
 
     # -- lifecycle & stats -------------------------------------------------
     def close(self) -> None:
-        """Stop the worker; queued requests are drained first."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(_SHUTDOWN)
-        self._worker.join(timeout=10.0)
+        """Refuse new submissions.  Requests already queued still
+        complete on their callers' threads; there is no thread to
+        stop."""
+        with self._lock:
+            self._closed = True
+            self._arrived.notify_all()
 
     def __enter__(self) -> "ScoringEngine":
         return self

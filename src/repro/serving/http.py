@@ -18,16 +18,19 @@ behind a :class:`http.server.ThreadingHTTPServer`:
 * ``POST /v1/score/batch``   — ``{"model": ..., "rows": [...]}`` → a
   probability per row, scored in shared micro-batch passes.
 
-One handler thread per connection (ThreadingHTTPServer) feeds the
-engines' micro-batch queues, which is where the concurrency pays off:
-N in-flight requests become ~N/max_batch model passes.  A lone request
-is scored at once; ``max_wait_ms`` only caps how long a pass waits for
-callers it expects, it is not a delay every request pays.
+One handler thread per connection (ThreadingHTTPServer).  Each
+handler submits its request to the model's engine and either scores
+the pass itself, when no pass is running, or waits for the handler
+thread that leads the pass holding its rows; that is where the
+concurrency pays off: N in-flight requests become ~N/max_batch model
+passes.  A lone request is scored at once on its own handler thread;
+``max_wait_ms`` only caps how long a pass waits for callers it
+expects, it is not a delay every request pays.
 
 Observability: every request runs under an ``http.request`` span of
-the service's tracer (spans from the handler thread and the
-micro-batch worker reassemble into one trace, see
-:mod:`repro.obs.trace`), the optional access log gets one JSON line
+the service's tracer (a pass's spans parent onto the request that
+opened it, whichever handler thread ran it, and reassemble into one
+trace, see :mod:`repro.obs.trace`), the optional access log gets one JSON line
 per completed request carrying that trace id, and metrics label
 requests by a *fixed* route table — unknown paths share one
 ``"<METHOD> [unknown]"`` label so probe scans cannot explode the

@@ -51,9 +51,9 @@ class GatedPass:
     Installed over :meth:`ScoringEngine._evaluate`, the one call a
     pass makes into the model (the compiled plan).  Each call first
     sets ``in_pass`` and waits on ``gate``, then records the pass's
-    distinct fresh row count in ``passes`` and delegates.  Holding the engine's worker
-    inside a pass lets a test queue requests behind it
-    deterministically, instead of relying on timing.
+    distinct fresh row count in ``passes`` and delegates.  Holding the
+    leading caller inside its pass lets a test queue requests behind
+    it deterministically, instead of relying on timing.
     """
 
     def __init__(self, evaluate):
@@ -75,7 +75,7 @@ def gate_engine():
     """Install a :class:`GatedPass` on an engine; returns the gate.
 
     Every installed gate is opened at teardown, so a failing test never
-    leaves an engine worker blocked.
+    leaves a leading caller blocked.
     """
     installed: list[GatedPass] = []
 
@@ -91,12 +91,13 @@ def gate_engine():
 
 
 def wait_for_queued(engine, n: int, timeout: float = 10.0) -> None:
-    """Block until ``n`` requests sit in the engine's micro-batch queue
-    (each queued request is one entry, however many rows it holds)."""
+    """Block until ``n`` requests sit in the engine's pending queue
+    (each queued request is one entry, however many rows it holds; a
+    pass dequeues a request once it has taken all of its rows)."""
     deadline = time.monotonic() + timeout
-    while engine._queue.qsize() < n:
+    while len(engine._pending) < n:
         if time.monotonic() > deadline:
             raise AssertionError(
-                f"expected {n} queued requests, have {engine._queue.qsize()}"
+                f"expected {n} queued requests, have {len(engine._pending)}"
             )
         time.sleep(0.005)

@@ -82,7 +82,7 @@ class TestValidation:
                 engine.score_one(huge)
             with pytest.raises(ServingError, match="row 1 column 'aadt'"):
                 engine.score_many([segment_rows[2], huge])
-            assert engine._queue.qsize() == 1
+            assert len(engine._pending) == 1
             gated.gate.set()
             _join(threads)
             assert results == {0: offline[0], 1: offline[1]}
@@ -147,8 +147,8 @@ class TestMicroBatching:
             def call(i: int) -> None:
                 results[i] = engine.score_one(segment_rows[i])
 
-            # Hold the worker inside the first caller's pass so the
-            # other 23 queue behind it, then let them all through.
+            # Hold the first caller inside its pass so the other 23
+            # queue behind it, then let them all through.
             threads = [_start(call, 0)]
             assert gated.in_pass.wait(10.0)
             threads += [_start(call, i) for i in range(1, 24)]
@@ -186,14 +186,35 @@ class TestMicroBatching:
 
 class SlowPass:
     """A model-pass double that sleeps ``delay`` seconds before each
-    pass (installed over :meth:`ScoringEngine._evaluate`)."""
+    pass (installed over :meth:`ScoringEngine._evaluate`), recording
+    the thread and the distinct row count of every pass in
+    ``passes``."""
 
     def __init__(self, evaluate, delay: float):
         self.evaluate = evaluate
         self.delay = delay
+        self.passes: list[tuple[int, int]] = []
+        self.in_pass = threading.Event()
 
     def __call__(self, encoded):
+        self.in_pass.set()
+        self.passes.append((threading.get_ident(), len(encoded.keys)))
         time.sleep(self.delay)
+        return self.evaluate(encoded)
+
+
+class FailingPass:
+    """A model-pass double whose ``fail_on``-th call (0-based) raises."""
+
+    def __init__(self, evaluate, fail_on: int):
+        self.evaluate = evaluate
+        self.fail_on = fail_on
+        self.calls = 0
+
+    def __call__(self, encoded):
+        call, self.calls = self.calls, self.calls + 1
+        if call == self.fail_on:
+            raise RuntimeError("model pass failed")
         return self.evaluate(encoded)
 
 
@@ -217,9 +238,195 @@ class TestTimeout:
         finally:
             engine.close()
 
+    def test_a_leader_that_times_out_hands_the_lead_on(
+        self, serving_scorer, segment_rows
+    ):
+        """A leader checks its deadline between its own slices.  When
+        it gives up, it withdraws its untaken rows and hands the lead
+        to the caller queued behind it, which scores its own row on
+        its own thread at once, not after the leader's leftover rows."""
+        offline = ScoringEngine(serving_scorer, cache_size=0).score_rows(
+            segment_rows[:9]
+        )
+        engine = ScoringEngine(
+            serving_scorer, name="cp8", max_batch=2, cache_size=0
+        )
+        slow = SlowPass(engine._evaluate, delay=0.3)
+        engine._evaluate = slow
+        errors: list[Exception] = []
+        results: dict[str, object] = {}
+
+        def leader() -> None:
+            try:
+                engine.score_many(segment_rows[:8], timeout=0.6)
+            except ServingError as exc:
+                errors.append(exc)
+
+        def follower() -> None:
+            results["probability"] = engine.score_one(segment_rows[8])
+            results["thread"] = threading.get_ident()
+
+        try:
+            threads = [_start(leader)]
+            assert slow.in_pass.wait(10.0)
+            threads.append(_start(follower))
+            wait_for_queued(engine, 2)  # the leader's tail and the follower
+            _join(threads)
+            assert len(errors) == 1 and "timed out after 0.6s" in str(errors[0])
+            assert results["probability"] == offline[8]
+            # Two full passes for the leader, then the follower alone.
+            assert [rows for _thread, rows in slow.passes] == [2, 2, 1]
+            assert slow.passes[-1][0] == results["thread"]
+            assert len(engine._pending) == 0
+        finally:
+            engine.close()
+
+    def test_a_timed_out_caller_never_strands_the_queue(
+        self, serving_scorer, segment_rows, gate_engine
+    ):
+        """A queued caller that times out withdraws its rows; the
+        callers behind it still get a leader and their scores."""
+        engine = ScoringEngine(serving_scorer, name="cp8", cache_size=0)
+        offline = engine.score_rows(segment_rows[:3])
+        gated = gate_engine(engine)
+        errors: list[Exception] = []
+        results: dict[int, float] = {}
+
+        def call(i: int, timeout: float | None) -> None:
+            try:
+                results[i] = engine.score_one(segment_rows[i], timeout=timeout)
+            except ServingError as exc:
+                errors.append(exc)
+
+        try:
+            holder = _start(call, 0, None)
+            assert gated.in_pass.wait(10.0)
+            timed = _start(call, 1, 0.5)
+            wait_for_queued(engine, 1)
+            patient = _start(call, 2, None)
+            _join([timed])
+            assert len(errors) == 1 and "timed out after 0.5s" in str(errors[0])
+            wait_for_queued(engine, 1)  # only the patient caller is left
+            gated.gate.set()
+            _join([holder, patient])
+            assert results == {0: offline[0], 2: offline[2]}
+            assert gated.passes == [1, 1]
+            assert len(engine._pending) == 0
+            assert engine.score_one(segment_rows[1]) == offline[1]
+        finally:
+            engine.close()
+
+
+class TestLeaderFollower:
+    """The engine owns no thread: each pass runs on the thread of the
+    caller that holds the lead."""
+
+    def test_a_lone_request_is_scored_on_the_calling_thread(
+        self, serving_scorer, segment_rows
+    ):
+        engine = ScoringEngine(serving_scorer, name="cp8", cache_size=0)
+        evaluate = engine._evaluate
+        threads: list[int] = []
+
+        def recording(encoded):
+            threads.append(threading.get_ident())
+            return evaluate(encoded)
+
+        engine._evaluate = recording
+        try:
+            engine.score_one(segment_rows[0])
+            engine.score_many(segment_rows[1:4])
+            assert threads == [threading.get_ident()] * 2
+        finally:
+            engine.close()
+
+    def test_an_engine_starts_no_thread(self, serving_scorer, segment_rows):
+        before = threading.active_count()
+        engine = ScoringEngine(serving_scorer, name="cp8")
+        try:
+            assert threading.active_count() == before
+            engine.score_one(segment_rows[0])
+            engine.score_many(segment_rows[:40])
+            assert threading.active_count() == before
+        finally:
+            engine.close()
+        assert threading.active_count() == before
+
+    def test_close_lets_queued_callers_finish(
+        self, serving_scorer, segment_rows, gate_engine
+    ):
+        """``close()`` refuses new submissions at once; callers already
+        queued still get their offline scores on their own threads."""
+        engine = ScoringEngine(serving_scorer, name="cp8", cache_size=0)
+        offline = engine.score_rows(segment_rows[:3])
+        gated = gate_engine(engine)
+        results: dict[int, float] = {}
+
+        def call(i: int) -> None:
+            results[i] = engine.score_one(segment_rows[i])
+
+        threads = [_start(call, 0)]
+        try:
+            assert gated.in_pass.wait(10.0)
+            threads += [_start(call, i) for i in (1, 2)]
+            wait_for_queued(engine, 2)
+            start = time.monotonic()
+            engine.close()
+            assert time.monotonic() - start < 1.0
+            with pytest.raises(ServingError, match="closed"):
+                engine.score_one(segment_rows[3])
+            gated.gate.set()
+            _join(threads)
+            assert results == {i: offline[i] for i in range(3)}
+            assert gated.passes == [1, 2]
+        finally:
+            gated.gate.set()
+            engine.close()
+
+    def test_a_failed_pass_fails_every_request_in_it(
+        self, serving_scorer, segment_rows, gate_engine
+    ):
+        """The second pass (a one-row request and the head of a cut
+        one) raises: both of its callers get the error, the cut
+        request's remaining rows are dropped, and the next caller is
+        scored normally."""
+        engine = ScoringEngine(
+            serving_scorer, name="cp8", max_batch=4, cache_size=0
+        )
+        offline = engine.score_rows(segment_rows[:10])
+        engine._evaluate = FailingPass(engine._evaluate, fail_on=1)
+        gated = gate_engine(engine)
+        outcomes: dict[str, object] = {}
+
+        def call(key: str, rows: list) -> None:
+            try:
+                outcomes[key] = engine.score_many(rows)
+            except RuntimeError as exc:
+                outcomes[key] = exc
+
+        threads = [_start(call, "holder", segment_rows[:1])]
+        try:
+            assert gated.in_pass.wait(10.0)
+            threads.append(_start(call, "short", segment_rows[1:2]))
+            wait_for_queued(engine, 1)
+            threads.append(_start(call, "cut", segment_rows[2:8]))
+            wait_for_queued(engine, 2)
+            gated.gate.set()
+            _join(threads)
+            assert outcomes["holder"] == offline[:1]
+            assert isinstance(outcomes["cut"], RuntimeError)
+            assert outcomes["short"] is outcomes["cut"]
+            assert gated.passes == [1, 4]
+            assert len(engine._pending) == 0
+            assert engine.score_many(segment_rows[8:10]) == offline[8:10]
+            assert gated.passes == [1, 4, 2]
+        finally:
+            gated.gate.set()
+            engine.close()
+
 
 class TestAdaptiveBatching:
-    """``max_wait_ms`` is a cap: the worker waits only for callers it
+    """``max_wait_ms`` is a cap: a pass waits only for callers it
     expects, i.e. while a batch has fewer callers than the last pass."""
 
     def test_lone_request_is_scored_at_once(
@@ -459,6 +666,6 @@ class TestStats:
                 engine.score_one(segment_rows[i % len(segment_rows)])
             assert engine.batches == 201
             assert sizes() == before
-            assert engine._queue.qsize() == 0
+            assert len(engine._pending) == 0
         finally:
             engine.close()

@@ -289,8 +289,8 @@ class TestEndToEndParity:
                 except Exception as exc:  # pragma: no cover
                     errors.append(exc)
 
-            # Hold the worker inside the first request's pass so the
-            # other eleven queue behind it.
+            # Hold the first request inside its pass so the other
+            # eleven queue behind it.
             threads = [threading.Thread(target=call, args=(0,))]
             threads[0].start()
             assert gated.in_pass.wait(10.0)

@@ -2,8 +2,9 @@
 
 The acceptance test of tracing lives here: one ``POST /v1/score/batch``
 whose rows take several micro-batch passes must come back as a SINGLE
-connected span tree — handler thread → engine → batch worker → kernel
-— with every parent/child link intact.  Alongside it: the Prometheus
+connected span tree — handler thread → engine → batch pass → kernel
+— with every parent/child link intact, whichever caller's thread ran
+each pass.  Alongside it: the Prometheus
 exposition endpoint, fixed-cardinality 404 labels, the structured
 access log, and the error accounting after a request is observed.
 """
@@ -43,7 +44,7 @@ def _post(service, path, payload):
 
 
 def _wait_for_spans(tracer, names, timeout=5.0):
-    """Spans finishing on worker threads can trail the HTTP response."""
+    """Spans finishing on other threads can trail the HTTP response."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         spans = tracer.finished()
@@ -58,8 +59,8 @@ def _wait_for_spans(tracer, names, timeout=5.0):
 def _wait_for_batched_rows(tracer, n_rows, timeout=5.0):
     """Spans once every row's ``engine.batch`` and the request are done.
 
-    The worker closes a batch span after resolving its rows, so the
-    last one can trail the HTTP response.
+    A pass closes its batch span after resolving its rows, so the last
+    one can trail the HTTP response.
     """
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -140,8 +141,8 @@ class TestMicroBatchTrace:
         assert len({s.trace_id for s in spans}) == 1
         by_id = {s.span_id: s for s in spans}
         batch_span = next(s for s in spans if s.name == "engine.batch")
-        # The batch worker thread has no request context: the link is
-        # the shipped _Request.trace_context.
+        # The pass may run on another caller's thread: the link is the
+        # shipped _Request.trace_context.
         assert by_id[batch_span.parent_id].name == "http.request"
         assert batch_span.attrs["batch_size"] >= 1
         assert batch_span.attrs["queue_wait_ms"] >= 0.0
@@ -162,8 +163,8 @@ class TestCoalescedBatchTrace:
             def call(i: int) -> None:
                 _post(service, "/v1/score", {"row": segment_rows[i]})
 
-            # Hold the worker in the first request's pass; the next
-            # two queue behind it and share one two-caller batch.
+            # Hold the first request's pass; the next two queue behind
+            # it and share one two-caller batch.
             threads = [threading.Thread(target=call, args=(0,))]
             threads[0].start()
             assert gated.in_pass.wait(10.0)
@@ -177,7 +178,7 @@ class TestCoalescedBatchTrace:
             for t in threads:
                 t.join(30.0)
                 assert not t.is_alive()
-            # The worker records a batch span after resolving its
+            # A pass records its batch span after resolving its
             # callers, so it can trail their responses.
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:

@@ -183,10 +183,9 @@ class TestCommands:
     ):
         """One non-numeric cell makes the CSV reader type the column
         categorical; scoring it against numeric thresholds would change
-        other rows' probabilities, so ``score`` refuses the file."""
+        other rows' probabilities, so ``score`` refuses the file: one
+        error line naming the column, exit code 2, no traceback."""
         import csv
-
-        from repro.exceptions import ColumnTypeError
 
         model_path = tmp_path / "scorer.json"
         assert main(
@@ -202,8 +201,27 @@ class TestCommands:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-        with pytest.raises(ColumnTypeError, match="'aadt'"):
-            main(["score", str(model_path), str(source), "--no-cache"])
+        capsys.readouterr()
+        assert main(
+            ["score", str(model_path), str(source), "--no-cache"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-study: error: ")
+        assert "'aadt'" in line
+
+    def test_score_reports_a_missing_model_file(self, tmp_path, capsys):
+        """A user's input error prints one line and exits 2; exit code
+        1 is what an SLO violation returns."""
+        source = tmp_path / "segments.csv"
+        source.write_text("segment_id\n1\n")
+        missing = tmp_path / "absent" / "model.json"
+        assert main(["score", str(missing), str(source)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-study: error: cannot read scorer file")
+        assert str(missing) in line
 
     def test_loadtest_self_host_and_slo_gate(self, tmp_path, capsys):
         model_dir = tmp_path / "models"
