@@ -16,7 +16,7 @@ from repro.core.reporting import render_box_ranges
 def test_figure4(benchmark, study):
     analysis = benchmark.pedantic(
         study.run_phase3,
-        kwargs={"threshold": 8, "n_clusters": 32},
+        kwargs={"n_clusters": 32},
         rounds=1,
         iterations=1,
     )

@@ -6,7 +6,7 @@ Usage::
     python examples/quickstart.py [--seed N] [--segments N]
 
 This is the 2-minute tour: a small network, all three modelling phases
-through the CRISP-DM pipeline, and the selected crash-proneness
+with their per-stage timings, and the selected crash-proneness
 threshold — the paper's headline result, on your machine.
 """
 
@@ -33,12 +33,12 @@ def main() -> None:
         f"{dataset.n_no_crash_instances} zero-altered no-crash instances"
     )
 
-    print("\nRunning the three-phase study (CRISP-DM pipeline) ...")
+    print("\nRunning the three-phase study ...")
     study = CrashPronenessStudy(dataset, seed=args.seed, repeats=2)
     report = study.run_full_study(n_clusters=16)
 
-    print("\n--- pipeline log " + "-" * 40)
-    print(report.pipeline_log)
+    print("\n--- stage timings " + "-" * 39)
+    print(report.timings.render())
 
     print()
     print(

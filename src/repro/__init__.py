@@ -17,8 +17,8 @@ Subpackages
     imbalance handling, ANOVA.
 ``repro.core``
     The paper's methodology: CP-k threshold datasets, phase 1–3
-    orchestration, the MCPV threshold-selection rule, CRISP-DM
-    pipeline, and report rendering.
+    orchestration, the MCPV threshold-selection rule and report
+    rendering.
 ``repro.parallel``
     The sweep-execution engine: serial / process backends with
     per-task seed derivation (parallel output is bit-identical to

@@ -994,25 +994,6 @@ def _loadtest_rows(dataset, input_schema) -> list[dict]:
     return table.select(expected).to_rows(limit=n)
 
 
-def _pairs_from_towns(towns: list[dict], limit: int = 32) -> list[tuple[str, str]]:
-    """Popular town pairs (by population product) from a towns listing
-    — the ``GET /v1/route/towns`` payload or ``RoutePlanner.towns()``."""
-    ranked = sorted(
-        towns, key=lambda t: (-t["population"], t["town_id"])
-    )[:24]
-    pairs = [
-        (a, b) for i, a in enumerate(ranked) for b in ranked[i + 1:]
-    ]
-    pairs.sort(
-        key=lambda p: (
-            -(p[0]["population"] * p[1]["population"]),
-            p[0]["town_id"],
-            p[1]["town_id"],
-        )
-    )
-    return [(a["name"], b["name"]) for a, b in pairs[:limit]]
-
-
 def _cmd_loadtest(args) -> int:
     from repro.loadtest import LoadTest, SLOSpec
     from repro.loadtest.profiles import get_profile
@@ -1059,7 +1040,7 @@ def _cmd_loadtest(args) -> int:
                 from repro.routing import RoutePlanner
 
                 route_planner = RoutePlanner(dataset)
-                pairs = _pairs_from_towns(route_planner.towns())
+                pairs = route_planner.popular_pairs()
             sink = (
                 JsonlSpanSink(args.trace_out)
                 if args.trace_out is not None
@@ -1113,12 +1094,14 @@ def _cmd_loadtest(args) -> int:
                 return 2
             input_schema = by_name[name]["inputs"]
             if profile.needs_pairs():
+                from repro.routing import popular_town_pairs
+
                 # The target decides its own network; ask it for towns.
                 with urllib.request.urlopen(
                     url.rstrip("/") + "/v1/route/towns", timeout=10
                 ) as response:
                     towns = json.loads(response.read())["towns"]
-                pairs = _pairs_from_towns(towns)
+                pairs = popular_town_pairs(towns)
 
         rows = _loadtest_rows(dataset, input_schema)
         test = LoadTest(

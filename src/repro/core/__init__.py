@@ -19,7 +19,6 @@ from repro.core.attribute_analysis import (
     cluster_attribute_signatures,
     tree_feature_importance,
 )
-from repro.core.crisp_dm import CrispDmPipeline, CrispDmStage, StageRun
 from repro.core.model_quality import (
     QualityPoint,
     QualityProfile,
@@ -63,9 +62,6 @@ __all__ = [
     "ClusteringAnalysis",
     "analyse_clusters",
     "run_phase3_clustering",
-    "CrispDmPipeline",
-    "CrispDmStage",
-    "StageRun",
     "CrashPronenessScorer",
     "SegmentScore",
     "AttributeSignature",

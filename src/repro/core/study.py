@@ -10,29 +10,34 @@ This is the paper's primary contribution as an executable object.
 * **Supporting sweeps** — naive Bayes (Table 5), logistic regression
   and neural networks under 10-fold cross-validation, and M5 model
   trees as an interval-target comparison.
-* **Phase 3** — 32-cluster k-means on the crash-only data at the
-  selected threshold, with the crash-count range analysis and ANOVA
-  (Figure 4).
+* **Phase 3** — 32-cluster k-means on the crash-only data, with the
+  crash-count range analysis and ANOVA (Figure 4).
 * **Threshold selection** — MCPV peak/plateau rule combining phases 1
   and 2 ("the best combination results ... is between thresholds 4 and
   8 crashes").
 
-Every ``(threshold, model)`` fit is independent, so the sweeps dispatch
-through :class:`~repro.parallel.executor.SweepExecutor`: ``n_jobs=1``
-(default) runs the deterministic serial backend, ``n_jobs=N`` a process
-pool whose output is bit-identical because each task derives its own
-seed from the study seed and its threshold offset.  A shared
+The paper follows CRISP-DM: phases 1–3 are its modelling stage and the
+threshold selection its evaluation stage.  Here they are plain method
+calls.
+
+Every ``(threshold, model)`` fit is independent, so every CP-k sweep
+goes through one runner that dispatches over
+:class:`~repro.parallel.executor.SweepExecutor`: ``n_jobs=1`` (default)
+runs the deterministic serial backend, ``n_jobs=N`` a process pool whose
+output is bit-identical because each task derives its own seed from the
+study seed and its threshold offset.  A shared
 :class:`~repro.parallel.cache.ThresholdDatasetCache` builds each CP-k
 dataset once per source table instead of once per model family.
 
-``run_full_study`` wires all of it through the CRISP-DM pipeline and
-threads the executor's :class:`~repro.parallel.timing.StageTimings`
-into the report.
+``run_full_study`` calls the phases in order on one executor and one
+cache; the executor's :class:`~repro.parallel.timing.StageTimings` is
+the run's one stage record, returned as ``StudyReport.timings``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -46,7 +51,6 @@ from repro.core.clustering_analysis import (
     ClusteringAnalysis,
     run_phase3_clustering,
 )
-from repro.core.crisp_dm import CrispDmPipeline, CrispDmStage
 from repro.core.thresholds import (
     PHASE1_THRESHOLDS,
     PHASE2_THRESHOLDS,
@@ -69,7 +73,7 @@ from repro.mining import (
 from repro.obs.trace import span as obs_span
 from repro.parallel.cache import ThresholdDatasetCache
 from repro.parallel.executor import SweepExecutor
-from repro.parallel.tasks import SweepTask
+from repro.parallel.tasks import SweepTask, TaskResult
 from repro.parallel.timing import StageTimings
 from repro.roads.generator import RoadCrashDataset
 
@@ -163,7 +167,6 @@ class StudyReport:
     bayes: list[SupportingModelResult]
     selection: ThresholdSelection
     clustering: ClusteringAnalysis
-    pipeline_log: str
     timings: StageTimings | None = None
 
 
@@ -270,6 +273,11 @@ def fit_supporting_model(
     )
 
 
+def _two_class(dataset: ThresholdDataset) -> bool:
+    """Keep rule of the tree and M5 sweeps: both classes are present."""
+    return min(dataset.n_non_prone, dataset.n_prone) > 0
+
+
 def fit_m5_model(
     dataset: ThresholdDataset, split_seed: int, train_fraction: float
 ) -> float:
@@ -357,83 +365,100 @@ class CrashPronenessStudy:
             self.repeats,
         )
 
-    def _threshold_datasets(
+    def _run_sweep(
         self,
+        stage: str,
+        key: str,
         table: DataTable,
         thresholds: tuple[int, ...],
+        task_for: Callable[
+            [int, ThresholdDataset], tuple[Callable[..., Any], tuple] | None
+        ],
+        executor: SweepExecutor | None,
         cache: ThresholdDatasetCache | None,
-    ) -> list[tuple[int, ThresholdDataset]]:
-        """(offset, CP-k dataset) per sorted threshold, cache-aware.
+        required_by: str | None = None,
+    ) -> list[TaskResult]:
+        """Build, filter and dispatch one CP-k sweep; every sweep runs here.
 
-        The offset indexes the *sorted* threshold list including any
-        later-skipped entries — per-task seeds derive from it, so a
+        Each threshold's dataset comes from ``cache`` (a fresh one when
+        ``None``).  ``task_for(offset, dataset)`` returns the task's
+        ``(fn, args)``, or ``None`` to skip a dataset the sweep cannot
+        model.  The offset indexes the *sorted* threshold list including
+        skipped entries — per-task seeds derive from it, so a
         threshold's seed never depends on which other thresholds
-        survive class-count filtering.
-        """
-        build = cache.get if cache is not None else build_threshold_dataset
-        with obs_span(
-            "study.build_datasets",
-            n_thresholds=len(thresholds),
-            cached=cache is not None,
-        ):
-            return [
-                (offset, build(table, threshold))
-                for offset, threshold in enumerate(sorted(thresholds))
-            ]
+        survive.  Tasks are keyed ``<key>/cp-<k>`` and run as ``stage``
+        on ``executor``, or on a serial one of the sweep's own.
 
-    def _sweep(
+        ``required_by`` names a sweep that must model at least one
+        threshold: when every dataset is skipped it raises
+        :class:`EvaluationError` with each threshold's class counts.
+        """
+        if cache is None:
+            cache = ThresholdDatasetCache()
+        with obs_span("study.build_datasets", n_thresholds=len(thresholds)):
+            datasets = [
+                cache.get(table, threshold) for threshold in sorted(thresholds)
+            ]
+        tasks: list[SweepTask] = []
+        for offset, dataset in enumerate(datasets):
+            call = task_for(offset, dataset)
+            if call is not None:
+                fn, args = call
+                tasks.append(
+                    SweepTask(
+                        key=f"{key}/cp-{dataset.threshold}",
+                        fn=fn,
+                        args=args,
+                        stage=stage,
+                        threshold=dataset.threshold,
+                    )
+                )
+        if not tasks and required_by is not None:
+            class_counts = "; ".join(
+                f"CP-{d.threshold}: {d.n_non_prone} non-prone / "
+                f"{d.n_prone} prone"
+                for d in datasets
+            )
+            raise EvaluationError(
+                f"{required_by}: no threshold produced a two-class "
+                f"dataset (attempted thresholds "
+                f"{sorted(thresholds)}; {class_counts})"
+            )
+        if executor is not None:
+            return executor.run(tasks, stage=stage)
+        with SweepExecutor(n_jobs=1) as own:
+            return own.run(tasks, stage=stage)
+
+    def _tree_sweep(
         self,
         table: DataTable,
         thresholds: tuple[int, ...],
         phase: int,
-        executor: SweepExecutor | None = None,
-        cache: ThresholdDatasetCache | None = None,
+        executor: SweepExecutor | None,
+        cache: ThresholdDatasetCache | None,
     ) -> PhaseResult:
-        tasks: list[SweepTask] = []
-        attempted: list[ThresholdDataset] = []
-        for offset, dataset in self._threshold_datasets(
-            table, thresholds, cache
-        ):
-            attempted.append(dataset)
-            if min(dataset.n_non_prone, dataset.n_prone) == 0:
-                continue  # no minority class at all; nothing to model
-            tasks.append(
-                SweepTask(
-                    key=f"phase{phase}/cp-{dataset.threshold}",
-                    fn=fit_tree_models,
-                    args=(
-                        dataset,
-                        self.seed + 101 * offset,
-                        self._config_for(dataset),
-                        self.train_fraction,
-                        self.repeats,
-                    ),
-                    stage=f"phase{phase}",
-                    threshold=dataset.threshold,
-                )
+        def task_for(offset: int, dataset: ThresholdDataset):
+            if not _two_class(dataset):
+                return None
+            return fit_tree_models, (
+                dataset,
+                self.seed + 101 * offset,
+                self._config_for(dataset),
+                self.train_fraction,
+                self.repeats,
             )
-        if not tasks:
-            class_counts = "; ".join(
-                f"CP-{d.threshold}: {d.n_non_prone} non-prone / "
-                f"{d.n_prone} prone"
-                for d in attempted
-            )
-            raise EvaluationError(
-                f"phase {phase}: no threshold produced a two-class "
-                f"dataset (attempted thresholds "
-                f"{sorted(thresholds)}; {class_counts})"
-            )
-        own_executor = executor is None
-        if own_executor:
-            executor = SweepExecutor(n_jobs=1)
-        try:
-            outputs = executor.run(tasks, stage=f"phase{phase}")
-        finally:
-            if own_executor:
-                executor.shutdown()
-        return PhaseResult(
-            phase=phase, results=[r.value for r in outputs]
+
+        outputs = self._run_sweep(
+            f"phase{phase}",
+            f"phase{phase}",
+            table,
+            thresholds,
+            task_for,
+            executor,
+            cache,
+            required_by=f"phase {phase}",
         )
+        return PhaseResult(phase=phase, results=[r.value for r in outputs])
 
     # -- phases --------------------------------------------------------------
     def run_phase1(
@@ -443,12 +468,8 @@ class CrashPronenessStudy:
         cache: ThresholdDatasetCache | None = None,
     ) -> PhaseResult:
         """Tree sweep over the crash + no-crash table (Table 3)."""
-        return self._sweep(
-            self.dataset.combined_instances(),
-            thresholds,
-            phase=1,
-            executor=executor,
-            cache=cache,
+        return self._tree_sweep(
+            self.dataset.combined_instances(), thresholds, 1, executor, cache
         )
 
     def run_phase2(
@@ -458,12 +479,8 @@ class CrashPronenessStudy:
         cache: ThresholdDatasetCache | None = None,
     ) -> PhaseResult:
         """Tree sweep over the crash-only table (Table 4)."""
-        return self._sweep(
-            self.dataset.crash_instances,
-            thresholds,
-            phase=2,
-            executor=executor,
-            cache=cache,
+        return self._tree_sweep(
+            self.dataset.crash_instances, thresholds, 2, executor, cache
         )
 
     def run_segment_level_sweep(
@@ -486,13 +503,7 @@ class CrashPronenessStudy:
         crash_segments = self.dataset.segment_table.filter(
             self.dataset.segment_table.numeric("segment_crash_count") > 0
         )
-        return self._sweep(
-            crash_segments,
-            thresholds,
-            phase=4,
-            executor=executor,
-            cache=cache,
-        )
+        return self._tree_sweep(crash_segments, thresholds, 4, executor, cache)
 
     def run_supporting_sweep(
         self,
@@ -507,36 +518,28 @@ class CrashPronenessStudy:
         ``model`` is one of 'bayes', 'logistic', 'neural'.
         """
         _supporting_factory(model, self.seed)  # validate the name early
-        tasks: list[SweepTask] = []
-        for offset, dataset in self._threshold_datasets(
-            self.dataset.crash_instances, thresholds, cache
-        ):
+
+        def task_for(offset: int, dataset: ThresholdDataset):
             y = dataset.target_vector()
             if min(int(y.sum()), int((1 - y).sum())) < folds:
-                continue  # cannot stratify this few minority rows
-            tasks.append(
-                SweepTask(
-                    key=f"{model}/cp-{dataset.threshold}",
-                    fn=fit_supporting_model,
-                    args=(
-                        model,
-                        dataset,
-                        folds,
-                        self.seed + 977 * offset,
-                        self.seed,
-                    ),
-                    stage=f"supporting-{model}",
-                    threshold=dataset.threshold,
-                )
+                return None  # cannot stratify this few minority rows
+            return fit_supporting_model, (
+                model,
+                dataset,
+                folds,
+                self.seed + 977 * offset,
+                self.seed,
             )
-        own_executor = executor is None
-        if own_executor:
-            executor = SweepExecutor(n_jobs=1)
-        try:
-            outputs = executor.run(tasks, stage=f"supporting-{model}")
-        finally:
-            if own_executor:
-                executor.shutdown()
+
+        outputs = self._run_sweep(
+            f"supporting-{model}",
+            model,
+            self.dataset.crash_instances,
+            thresholds,
+            task_for,
+            executor,
+            cache,
+        )
         return [r.value for r in outputs]
 
     def run_m5_sweep(
@@ -546,41 +549,34 @@ class CrashPronenessStudy:
         cache: ThresholdDatasetCache | None = None,
     ) -> dict[int, float]:
         """M5 model-tree validation R² per threshold (interval target)."""
-        tasks: list[SweepTask] = []
-        for offset, dataset in self._threshold_datasets(
-            self.dataset.crash_instances, thresholds, cache
-        ):
-            if min(dataset.n_non_prone, dataset.n_prone) == 0:
-                continue
-            tasks.append(
-                SweepTask(
-                    key=f"m5/cp-{dataset.threshold}",
-                    fn=fit_m5_model,
-                    args=(
-                        dataset,
-                        self.seed + 389 * offset,
-                        self.train_fraction,
-                    ),
-                    stage="m5",
-                    threshold=dataset.threshold,
-                )
+
+        def task_for(offset: int, dataset: ThresholdDataset):
+            if not _two_class(dataset):
+                return None
+            return fit_m5_model, (
+                dataset,
+                self.seed + 389 * offset,
+                self.train_fraction,
             )
-        own_executor = executor is None
-        if own_executor:
-            executor = SweepExecutor(n_jobs=1)
-        try:
-            outputs = executor.run(tasks, stage="m5")
-        finally:
-            if own_executor:
-                executor.shutdown()
+
+        outputs = self._run_sweep(
+            "m5",
+            "m5",
+            self.dataset.crash_instances,
+            thresholds,
+            task_for,
+            executor,
+            cache,
+        )
         return {r.threshold: r.value for r in outputs}
 
-    def run_phase3(
-        self, threshold: int = 8, n_clusters: int = 32
-    ) -> ClusteringAnalysis:
-        """K-means crash-count range analysis at the selected threshold."""
-        del threshold  # phase 3 clusters the full crash-only data; the
-        # selected threshold names the model but does not alter inputs.
+    def run_phase3(self, *, n_clusters: int = 32) -> ClusteringAnalysis:
+        """K-means crash-count range analysis of the crash-only data.
+
+        Phase 3 clusters the full crash-only table: the selected
+        threshold names the deployed model but does not alter the
+        clustering's inputs.
+        """
         return run_phase3_clustering(
             self.dataset.crash_instances,
             n_clusters=n_clusters,
@@ -613,7 +609,7 @@ class CrashPronenessStudy:
             combined, metric="mcpv", plateau_tolerance=plateau_tolerance
         )
 
-    # -- the full CRISP-DM run -------------------------------------------------
+    # -- the full study -----------------------------------------------------
     def run_full_study(
         self,
         phase1_thresholds: tuple[int, ...] = PHASE1_THRESHOLDS,
@@ -621,93 +617,38 @@ class CrashPronenessStudy:
         n_clusters: int = 32,
         n_jobs: int | None = 1,
     ) -> StudyReport:
-        """Execute the complete study through the CRISP-DM pipeline.
+        """Run phases 1 and 2, the naive Bayes sweep, selection and phase 3.
 
-        ``n_jobs`` selects the sweep backend: ``1`` (default) runs
-        serially in-process; any other value dispatches the
+        Every sweep shares one executor and one threshold dataset
+        cache.  ``n_jobs`` selects the sweep backend: ``1`` (default)
+        runs serially in-process; any other value dispatches the
         ``(threshold, model)`` fits over a process pool.  Model outputs
-        are bit-identical either way — only ``StudyReport.timings``
-        differs.
+        are bit-identical either way — only ``StudyReport.timings``, the
+        executor's per-stage record, differs.
         """
         cache = ThresholdDatasetCache()
         with obs_span(
             "study.run_full_study", n_jobs=n_jobs, seed=self.seed
         ), SweepExecutor(n_jobs=n_jobs) as executor:
-            pipeline = CrispDmPipeline()
-            pipeline.register(
-                CrispDmStage.DATA_UNDERSTANDING,
-                "profile instance tables",
-                lambda ctx: {
-                    "n_crash_instances": self.dataset.n_crash_instances,
-                    "n_no_crash_instances": self.dataset.n_no_crash_instances,
-                },
+            phase1 = self.run_phase1(
+                phase1_thresholds, executor=executor, cache=cache
             )
-            pipeline.register(
-                CrispDmStage.MODELING,
-                "phase 1 tree sweep (crash + no-crash)",
-                lambda ctx: {
-                    "phase1": self.run_phase1(
-                        phase1_thresholds, executor=executor, cache=cache
-                    )
-                },
+            phase2 = self.run_phase2(
+                phase2_thresholds, executor=executor, cache=cache
             )
-            pipeline.register(
-                CrispDmStage.MODELING,
-                "phase 2 tree sweep (crash only)",
-                lambda ctx: {
-                    "phase2": self.run_phase2(
-                        phase2_thresholds, executor=executor, cache=cache
-                    )
-                },
+            bayes = self.run_supporting_sweep(
+                "bayes", phase2_thresholds, executor=executor, cache=cache
             )
-            pipeline.register(
-                CrispDmStage.MODELING,
-                "supporting naive Bayes sweep",
-                lambda ctx: {
-                    "bayes": self.run_supporting_sweep(
-                        "bayes",
-                        phase2_thresholds,
-                        executor=executor,
-                        cache=cache,
-                    )
-                },
-            )
-
-            def _select(ctx):
-                with executor.timed_stage("selection"):
-                    return {
-                        "selection": self.select_threshold(
-                            ctx["phase1"], ctx["phase2"]
-                        )
-                    }
-
-            def _cluster(ctx):
-                with executor.timed_stage("clustering"):
-                    return {
-                        "clustering": self.run_phase3(
-                            ctx["selection"].selected_threshold, n_clusters
-                        )
-                    }
-
-            pipeline.register(
-                CrispDmStage.EVALUATION,
-                "threshold selection (MCPV plateau rule)",
-                _select,
-            )
-            pipeline.register(
-                CrispDmStage.EVALUATION,
-                "phase 3 clustering at the selected threshold",
-                _cluster,
-            )
-            context = pipeline.run()
+            with executor.timed_stage("selection"):
+                selection = self.select_threshold(phase1, phase2)
+            with executor.timed_stage("clustering"):
+                clustering = self.run_phase3(n_clusters=n_clusters)
             executor.attach_cache_stats(cache)
-            timings = executor.timings
         return StudyReport(
-            phase1=context["phase1"],
-            phase2=context["phase2"],
-            bayes=context["bayes"],
-            selection=context["selection"],
-            clustering=context["clustering"],
-            pipeline_log=pipeline.describe(),
-            timings=timings,
+            phase1=phase1,
+            phase2=phase2,
+            bayes=bayes,
+            selection=selection,
+            clustering=clustering,
+            timings=executor.timings,
         )

@@ -16,7 +16,7 @@ what makes ``n_jobs=N`` output bit-identical to ``n_jobs=1``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.obs.span import Span, SpanContext
@@ -36,8 +36,9 @@ class SweepTask:
         per-task timings.
     fn:
         A module-level callable (picklable by reference).
-    args / kwargs:
-        Call arguments; must be picklable for the process backend.
+    args:
+        Positional call arguments; must be picklable for the process
+        backend.
     stage:
         The sweep stage the task belongs to (``"phase1"``,
         ``"supporting-bayes"``, ...).
@@ -55,7 +56,6 @@ class SweepTask:
     key: str
     fn: Callable[..., Any]
     args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
     stage: str = ""
     threshold: int | None = None
     trace_context: SpanContext | None = None
@@ -93,7 +93,7 @@ def execute_task(task: SweepTask) -> TaskResult:
     """
     if task.trace_context is None:
         start = time.perf_counter()
-        value = task.fn(*task.args, **task.kwargs)
+        value = task.fn(*task.args)
         return TaskResult(
             key=task.key,
             value=value,
@@ -109,7 +109,7 @@ def execute_task(task: SweepTask) -> TaskResult:
             stage=task.stage,
             threshold=task.threshold,
         ):
-            value = task.fn(*task.args, **task.kwargs)
+            value = task.fn(*task.args)
     return TaskResult(
         key=task.key,
         value=value,

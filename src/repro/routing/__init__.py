@@ -18,7 +18,7 @@ into a routing layer:
 """
 
 from repro.routing.graph import COST_FLOOR, RiskGraph
-from repro.routing.planner import RoutePlanner
+from repro.routing.planner import RoutePlanner, popular_town_pairs
 from repro.routing.queries import (
     DEFAULT_ALPHA,
     MAX_ALTERNATIVES,
@@ -43,6 +43,7 @@ __all__ = [
     "SafestResult",
     "best_route",
     "k_alternative_routes",
+    "popular_town_pairs",
     "safest_route",
     "score_town_path",
     "shortest_route",

@@ -32,7 +32,32 @@ from repro.routing.graph import RiskGraph
 from repro.routing.queries import DEFAULT_ALPHA, MAX_ALTERNATIVES
 from repro.routing.store import RouteStore
 
-__all__ = ["RoutePlanner"]
+__all__ = ["RoutePlanner", "popular_town_pairs"]
+
+
+def popular_town_pairs(
+    towns: list[dict], limit: int = 32
+) -> list[tuple[str, str]]:
+    """Top town pairs by population product — the precompute set.
+
+    ``towns`` is a town listing shaped like :meth:`RoutePlanner.towns`
+    (and the ``GET /v1/route/towns`` payload).  Deterministic: pairs of
+    the 24 most populous towns sorted by ``(-pop_a*pop_b, id_a, id_b)``.
+    """
+    if limit < 1:
+        raise ConfigurationError(f"limit must be >= 1, got {limit}")
+    ranked = sorted(
+        towns, key=lambda t: (-t["population"], t["town_id"])
+    )[:24]
+    pairs = [(a, b) for i, a in enumerate(ranked) for b in ranked[i + 1:]]
+    pairs.sort(
+        key=lambda p: (
+            -(p[0]["population"] * p[1]["population"]),
+            p[0]["town_id"],
+            p[1]["town_id"],
+        )
+    )
+    return [(a["name"], b["name"]) for a, b in pairs[:limit]]
 
 
 class RoutePlanner:
@@ -267,30 +292,8 @@ class RoutePlanner:
 
     # -- precompute / reporting ----------------------------------------------
     def popular_pairs(self, limit: int = 32) -> list[tuple[str, str]]:
-        """Top town pairs by population product — the precompute set.
-
-        Deterministic: sorted by ``(-pop_a*pop_b, id_a, id_b)`` over the
-        largest towns, no randomness involved.
-        """
-        if limit < 1:
-            raise ConfigurationError(f"limit must be >= 1, got {limit}")
-        towns = sorted(
-            self.network.towns,
-            key=lambda t: (-t.population, t.town_id),
-        )[:24]
-        pairs = [
-            (a, b)
-            for i, a in enumerate(towns)
-            for b in towns[i + 1:]
-        ]
-        pairs.sort(
-            key=lambda p: (
-                -(p[0].population * p[1].population),
-                p[0].town_id,
-                p[1].town_id,
-            )
-        )
-        return [(a.name, b.name) for a, b in pairs[:limit]]
+        """:func:`popular_town_pairs` of this planner's towns."""
+        return popular_town_pairs(self.towns(), limit)
 
     def precompute(
         self,

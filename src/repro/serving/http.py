@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -114,6 +115,26 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
+
+
+def _body_length(declared: str, cap: int) -> int | None:
+    """The byte count a ``Content-Length`` value declares, or ``None``
+    when it is over ``cap``.
+
+    Only ASCII decimal digits are a length: a sign, an exponent or any
+    other character raises :class:`ServingError`.  Digit counts are
+    compared before ``int()``, which refuses strings past 4,300 digits,
+    so an absurdly long value is only too large.
+    """
+    if not (declared.isascii() and declared.isdigit()):
+        raise ServingError(
+            "Content-Length must be a decimal byte count, "
+            f"got {declared[:32]!r}"
+        )
+    digits = declared.lstrip("0") or "0"
+    if len(digits) > len(str(cap)) or int(digits) > cap:
+        return None
+    return int(digits)
 
 
 class TextResponse:
@@ -548,17 +569,29 @@ class ScoringService:
                     if method == "GET":
                         status, payload = service.handle_get(path, query)
                     else:
-                        length = int(self.headers.get("Content-Length") or 0)
-                        limit = service.max_body_bytes
-                        if limit and length > limit:
-                            # Refuse before reading; the unread body
-                            # would desynchronise keep-alive, so the
-                            # connection is closed after responding.
+                        declared = (
+                            self.headers.get("Content-Length") or "0"
+                        ).strip()
+                        # No limit still caps a read at sys.maxsize.
+                        cap = service.max_body_bytes or sys.maxsize
+                        # Refuse a malformed or over-limit length before
+                        # reading; the unread body would desynchronise
+                        # keep-alive, so the connection is closed after
+                        # responding.
+                        try:
+                            length = _body_length(declared, cap)
+                        except ServingError:
                             self.close_connection = True
+                            raise
+                        if length is None:
+                            self.close_connection = True
+                            shown = declared if len(declared) <= 24 else (
+                                f"{declared[:21]}..."
+                            )
                             return 413, {
                                 "error": (
-                                    f"request body of {length} bytes "
-                                    f"exceeds the {limit}-byte limit"
+                                    f"request body of {shown} bytes "
+                                    f"exceeds the {cap}-byte limit"
                                 ),
                             }, "BodyTooLarge"
                         try:

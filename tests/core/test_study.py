@@ -122,7 +122,7 @@ class TestSelection:
 
 class TestPhase3:
     def test_clustering_analysis(self, study):
-        analysis = study.run_phase3(threshold=8, n_clusters=16)
+        analysis = study.run_phase3(n_clusters=16)
         assert analysis.n_clusters == 16
         assert analysis.anova.p_value < 1e-6
         assert analysis.n_very_low_crash_clusters >= 1

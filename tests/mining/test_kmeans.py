@@ -115,6 +115,30 @@ class TestKMeans:
         assignment = model.predict(table)
         assert assignment.shape == (12,)
 
+    @pytest.mark.parametrize("k, seed", [(8, 3), (5, 1), (12, 0)])
+    def test_lloyd_stops_at_scipy_fixed_point(self, small_dataset, k, seed):
+        """Run to convergence, the fitted centroids are a fixed point of
+        Lloyd's step: one scipy ``kmeans2`` step from them assigns every
+        row to its nearest centroid and leaves the centroids in place."""
+        from scipy.cluster.vq import kmeans2
+
+        table = small_dataset.crash_instances
+        model = KMeans(
+            n_clusters=k, tolerance=0.0, max_iterations=300, seed=seed
+        ).fit(table)
+        features = model._feature_set(table, model._input_names)
+        x = model._encoder.transform(features)
+        labels = _pairwise_sq(x, model.centroids).argmin(axis=1)
+        if (np.bincount(labels, minlength=k) == 0).any():
+            pytest.skip("an empty cluster has no scipy mean")
+        centroids, scipy_labels = kmeans2(
+            x, model.centroids.copy(), iter=1, minit="matrix", missing="raise"
+        )
+        assert np.array_equal(scipy_labels, labels)
+        np.testing.assert_allclose(
+            centroids, model.centroids, rtol=0, atol=1e-12
+        )
+
 
 def _reference_lloyd(model, x, rng):
     """The per-cluster Lloyd loop that the bincount update replaced, kept

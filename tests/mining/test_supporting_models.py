@@ -130,6 +130,48 @@ class TestLogisticRegression:
         with pytest.raises(FitError):
             LogisticRegressionClassifier().fit(table, "label")
 
+    @pytest.mark.parametrize("ridge", [1.0, 5.0])
+    def test_irls_matches_scipy_bfgs(self, small_dataset, ridge):
+        """IRLS minimises the penalised negative log-likelihood
+        ``-l(w) + ridge/2 * |w[1:]|^2`` (intercept unpenalised): BFGS on
+        the same objective, from zero, lands on the same weights."""
+        from scipy.optimize import minimize
+
+        from repro.core.thresholds import TARGET_COLUMN, build_threshold_dataset
+        from repro.mining.features import FeatureSet
+
+        table = build_threshold_dataset(small_dataset.crash_instances, 8).table
+        model = LogisticRegressionClassifier(ridge=ridge, tolerance=1e-10)
+        model.fit(table, TARGET_COLUMN)
+        features = FeatureSet(table, TARGET_COLUMN)
+        x = model._encoder.transform(features)
+        design = np.hstack([np.ones((x.shape[0], 1)), x])
+        y = features.binary_target()[0].astype(np.float64)
+
+        def objective(w):
+            eta = design @ w
+            log_likelihood = np.sum(y * eta - np.logaddexp(0.0, eta))
+            return -log_likelihood + 0.5 * ridge * np.sum(w[1:] ** 2)
+
+        def gradient(w):
+            mu = 1.0 / (1.0 + np.exp(-(design @ w)))
+            grad = -(design.T @ (y - mu))
+            grad[1:] += ridge * w[1:]
+            return grad
+
+        # BFGS may report success=False from precision loss at this
+        # gtol; the objective and the weights are what is compared.
+        oracle = minimize(
+            objective,
+            np.zeros(design.shape[1]),
+            jac=gradient,
+            method="BFGS",
+            options={"gtol": 1e-10, "maxiter": 10_000},
+        )
+        weights = model._weights
+        assert objective(weights) <= oracle.fun + 1e-9 * abs(oracle.fun)
+        np.testing.assert_allclose(weights, oracle.x, rtol=0, atol=1e-6)
+
 
 class TestNeuralNetwork:
     def test_learns_signal(self, data):

@@ -170,7 +170,7 @@ class TestGoldenFigure4:
         order of cluster means), the band mix and the ANOVA line, rendered
         as ``benchmarks/bench_figure4.py`` renders them."""
         golden = (GOLDEN_DIR / "figure4.txt").read_text().splitlines()
-        analysis = study.run_phase3(threshold=8, n_clusters=32)
+        analysis = study.run_phase3(n_clusters=32)
         profiles = analysis.profiles
         chart = render_box_ranges(
             [

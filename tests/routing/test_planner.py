@@ -4,6 +4,8 @@ These tests use the function-scoped ``fresh_planner`` so counter
 assertions start from zero.
 """
 
+import json
+
 import pytest
 
 from repro.exceptions import ConfigurationError, RoutingError
@@ -167,3 +169,28 @@ class TestValidation:
             RoutePlanner(small_dataset, max_graphs=0)
         with pytest.raises(ConfigurationError, match="default_alpha"):
             RoutePlanner(small_dataset, default_alpha=2.0)
+
+
+class TestPopularPairs:
+    def test_listing_and_planner_rank_alike(self, fresh_planner):
+        """The ``/v1/route/towns`` payload ranks to the planner's own
+        precompute set, so a remote load test drives the same pairs."""
+        from repro.routing import popular_town_pairs
+
+        listing = json.loads(json.dumps(fresh_planner.towns()))
+        for limit in (1, 5, 32, 1000):
+            assert popular_town_pairs(listing, limit) == (
+                fresh_planner.popular_pairs(limit)
+            )
+
+    def test_ranked_by_population_product(self, fresh_planner):
+        by_name = {t["name"]: t["population"] for t in fresh_planner.towns()}
+        products = [
+            by_name[a] * by_name[b]
+            for a, b in fresh_planner.popular_pairs(limit=20)
+        ]
+        assert products == sorted(products, reverse=True)
+
+    def test_limit_below_one_rejected(self, fresh_planner):
+        with pytest.raises(ConfigurationError, match="limit"):
+            fresh_planner.popular_pairs(limit=0)

@@ -11,6 +11,7 @@ import json
 import os
 import queue
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -55,6 +56,33 @@ def _post_error(service, path, payload) -> tuple[int, dict]:
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
     raise AssertionError("expected an HTTP error")
+
+
+def _post_declaring(service, content_length: str) -> tuple[int, dict, bytes]:
+    """POST /v1/score over a raw socket with a given Content-Length and
+    no body: (status, JSON body, what the socket yields afterwards)."""
+    with socket.create_connection(
+        ("127.0.0.1", service.port), timeout=2.0
+    ) as sock:
+        sock.sendall(
+            b"POST /v1/score HTTP/1.1\r\n"
+            b"Host: test\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        body = json.loads(response.read())
+        return response.status, body, sock.recv(1)
+
+
+def _wait_for(predicate, timeout=5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return False
 
 
 class TestEndpoints:
@@ -230,6 +258,54 @@ class TestErrors:
     def test_double_start_rejected(self, service):
         with pytest.raises(ServingError, match="already running"):
             service.start()
+
+
+class TestContentLength:
+    """Only ASCII decimal digits frame a body.  Anything else is a 400
+    and an over-limit length a 413, both answered before any read and
+    followed by closing the connection, since the body cannot be
+    skipped."""
+
+    def test_malformed_lengths_400_and_huge_413(
+        self, service, segment_rows
+    ):
+        statuses = []
+        for declared in ("-1", "abc", "1e3", "9" * 5000):
+            status, body, after = _post_declaring(service, declared)
+            statuses.append(status)
+            assert after == b"", f"{declared[:8]!r}: connection left open"
+            if status == 400:
+                assert "Content-Length" in body["error"]
+        assert statuses == [400, 400, 400, 413]
+        assert _wait_for(lambda: service._inflight == 0)
+        errors = service.metrics.summary()["POST /v1/score"]["error_types"]
+        assert errors == {"ServingError": 3, "BodyTooLarge": 1}
+        ok = _post(service, "/v1/score", {"row": segment_rows[0]})
+        assert 0.0 <= ok["probability"] <= 1.0
+
+    def test_huge_length_413_without_a_limit(self, model_dir):
+        with ScoringService(
+            model_dir, port=0, max_body_bytes=0
+        ).start() as service:
+            status, body, _after = _post_declaring(service, "9" * 5000)
+            assert status == 413 and "exceeds" in body["error"]
+
+    def test_leading_zeros_and_spaces_are_a_length(
+        self, service, segment_rows
+    ):
+        data = json.dumps({"row": segment_rows[0]}).encode()
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=2.0
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/score HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length:  000{len(data)} \r\n\r\n".encode()
+                + data
+            )
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 200
+            assert 0.0 <= json.loads(response.read())["probability"] <= 1.0
 
 
 class TestEndToEndParity:

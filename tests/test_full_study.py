@@ -1,5 +1,5 @@
-"""End-to-end test of the full CRISP-DM study run (the repository's
-headline integration test)."""
+"""End-to-end test of the full study run (the repository's headline
+integration test)."""
 
 import pytest
 
@@ -23,11 +23,28 @@ class TestFullStudy:
         assert report.selection.selected_threshold in (2, 4, 8, 16)
 
     def test_pipeline_log_traces_stages(self, report):
-        log = report.pipeline_log
-        assert "[data understanding]" in log
-        assert "[modeling]" in log
-        assert "[evaluation]" in log
-        assert "phase 1" in log and "phase 2" in log
+        """The study's one run record is ``StudyReport.timings``: every
+        stage in the order it ran, with its tasks' keys."""
+        timings = report.timings
+        assert [s.stage for s in timings.stages] == [
+            "phase1",
+            "phase2",
+            "supporting-bayes",
+            "selection",
+            "clustering",
+        ]
+        assert timings.stage("phase1").n_tasks == len(report.phase1.results)
+        assert timings.stage("phase2").n_tasks == len(report.phase2.results)
+        assert timings.stage("supporting-bayes").n_tasks == len(report.bayes)
+        assert timings.stage("clustering").n_tasks == 0
+        assert [t.key for t in timings.stage("phase2").tasks] == [
+            f"phase2/cp-{r.threshold}" for r in report.phase2.results
+        ]
+        assert [t.key for t in timings.stage("supporting-bayes").tasks] == [
+            f"bayes/cp-{r.threshold}" for r in report.bayes
+        ]
+        rendered = timings.render()
+        assert "supporting-bayes" in rendered and "clustering" in rendered
 
     def test_clustering_supports_conclusion(self, report):
         """The banded-cluster finding should hold on synthetic data."""
