@@ -160,12 +160,6 @@ def main(argv=None):
         help="quick CI check: small dataset, parity asserted, no "
         "artefact written and no speedup floor",
     )
-    parser.add_argument(
-        "--emit-json",
-        action="store_true",
-        help="also write benchmarks/results/bulk_scoring.json "
-        "(machine-readable, for benchmarks/compare.py)",
-    )
     args = parser.parse_args(argv)
 
     from repro.roads import (
@@ -190,20 +184,6 @@ def main(argv=None):
             dataset, n_rows=100_000, emit_name="bulk_scoring"
         )
         assert kernel_speedup >= 3.0 and end_to_end_speedup >= 3.0
-    if args.emit_json:
-        from benchmarks.conftest import emit_json
-
-        emit_json(
-            "bulk_scoring",
-            {
-                "kernel_speedup": {
-                    "value": kernel_speedup, "better": "higher",
-                },
-                "end_to_end_speedup": {
-                    "value": end_to_end_speedup, "better": "higher",
-                },
-            },
-        )
     return 0
 
 

@@ -454,12 +454,6 @@ def main(argv=None):
         action="store_true",
         help="also write benchmarks/results/datatable.txt",
     )
-    parser.add_argument(
-        "--emit-json",
-        action="store_true",
-        help="also write benchmarks/results/datatable.json "
-        "(machine-readable, for benchmarks/compare.py)",
-    )
     args = parser.parse_args(argv)
 
     from repro.roads import (
@@ -505,19 +499,6 @@ def main(argv=None):
             ]
             assert sum(s >= 5.0 for s in hot) >= 2, speedups
             assert mmap_vs_parse >= 100.0
-    if args.emit_json:
-        from benchmarks.conftest import emit_json
-
-        metrics = {
-            stage.replace(" ", "_") + "_speedup": {
-                "value": speedup, "better": "higher",
-            }
-            for stage, speedup in speedups.items()
-        }
-        metrics["mmap_vs_parse_speedup"] = {
-            "value": mmap_vs_parse, "better": "higher",
-        }
-        emit_json("datatable", metrics)
     return 0
 
 

@@ -106,12 +106,6 @@ def main(argv=None):
         action="store_true",
         help="also write benchmarks/results/loadtest.txt",
     )
-    parser.add_argument(
-        "--emit-json",
-        action="store_true",
-        help="also write benchmarks/results/loadtest.json "
-        "(machine-readable, for benchmarks/compare.py)",
-    )
     args = parser.parse_args(argv)
 
     from repro.roads import (
@@ -136,25 +130,7 @@ def main(argv=None):
         dataset = QDTMRSyntheticGenerator(paper_scale_config()).generate(
             seed=2011
         )
-        report = run_loadtest_bench(
-            dataset, duration=5.0, emit_name=emit_name
-        )
-    if args.emit_json:
-        from benchmarks.conftest import emit_json
-
-        metrics = {
-            "throughput_rps": {
-                "value": report.total_throughput_rps,
-                "better": "higher",
-            },
-        }
-        for summary in report.endpoints.values():
-            key = summary.endpoint.replace(" ", "_").lower()
-            metrics[f"{key}_p95_ms"] = {
-                "value": summary.p95_ms,
-                "better": "lower",
-            }
-        emit_json("loadtest", metrics)
+        run_loadtest_bench(dataset, duration=5.0, emit_name=emit_name)
     return 0
 
 

@@ -10,9 +10,8 @@ noise out of the ratio.
 
 Asserted: overhead at the default rate stays under 5%, and the
 profiler actually captured samples while the workload ran (a sampler
-that is cheap because it is dead proves nothing).  Artefacts:
-``benchmarks/results/profiling.txt`` (human) and ``profiling.json``
-(machine-readable, diffable with ``benchmarks/compare.py``).
+that is cheap because it is dead proves nothing).  Artefact:
+``benchmarks/results/profiling.txt``.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ def run_profiling_bench(
     repeats: int | None = None,
     rounds: int = 3,
     emit_name: str | None = None,
-    emit_json_name: str | None = None,
 ):
     scorer = CrashPronenessScorer.train(
         dataset.crash_instances, threshold=BENCH_THRESHOLD, seed=0
@@ -121,24 +119,6 @@ def run_profiling_bench(
         emit(emit_name, text)
     else:
         print(text)
-    if emit_json_name is not None:
-        from benchmarks.conftest import emit_json
-
-        emit_json(
-            emit_json_name,
-            {
-                "baseline_s": {"value": base_s, "better": "lower"},
-                "overhead_pct_default_hz": {
-                    "value": runs[0]["overhead_pct"], "better": "lower",
-                },
-                "overhead_pct_aggressive_hz": {
-                    "value": runs[1]["overhead_pct"], "better": "lower",
-                },
-                "samples_default_hz": {
-                    "value": runs[0]["samples"], "better": "higher",
-                },
-            },
-        )
 
     # A sampler that slept through the workload proves nothing about
     # its cost; require real captures before trusting the ratio.
@@ -151,11 +131,7 @@ def run_profiling_bench(
 
 
 def test_profiling_overhead(paper_dataset):
-    base_s, runs = run_profiling_bench(
-        paper_dataset,
-        emit_name="profiling",
-        emit_json_name="profiling",
-    )
+    base_s, runs = run_profiling_bench(paper_dataset, emit_name="profiling")
     assert base_s > 0 and len(runs) == 2
 
 
@@ -198,9 +174,7 @@ def main(argv=None):
     dataset = QDTMRSyntheticGenerator(paper_scale_config()).generate(
         seed=2011
     )
-    run_profiling_bench(
-        dataset, emit_name="profiling", emit_json_name="profiling"
-    )
+    run_profiling_bench(dataset, emit_name="profiling")
     return 0
 
 

@@ -120,12 +120,6 @@ def main(argv=None):
         action="store_true",
         help="also write benchmarks/results/routing.txt",
     )
-    parser.add_argument(
-        "--emit-json",
-        action="store_true",
-        help="also write benchmarks/results/routing.json "
-        "(machine-readable, for benchmarks/compare.py)",
-    )
     args = parser.parse_args(argv)
 
     from repro.roads import (
@@ -149,27 +143,7 @@ def main(argv=None):
         dataset = QDTMRSyntheticGenerator(paper_scale_config()).generate(
             seed=2011
         )
-        stats = run_routing_bench(dataset, emit_name=emit_name)
-    if args.emit_json:
-        from benchmarks.conftest import emit_json
-
-        emit_json(
-            "routing",
-            {
-                "graph_build_s": {
-                    "value": stats["build_s"], "better": "lower",
-                },
-                "cold_query_ms": {
-                    "value": stats["cold_ms"], "better": "lower",
-                },
-                "cached_query_ms": {
-                    "value": stats["cached_ms"], "better": "lower",
-                },
-                "precompute_plans_per_s": {
-                    "value": stats["precompute_rps"], "better": "higher",
-                },
-            },
-        )
+        run_routing_bench(dataset, emit_name=emit_name)
     return 0
 
 

@@ -4,7 +4,7 @@ A load generator drives the in-process HTTP scoring service with
 ``POST /v1/score`` at several client concurrency levels, each worker
 on its own keep-alive connection.  Per level it records throughput and
 client-observed p50/p95/p99 latency, plus how well the engine's
-micro-batcher coalesced the concurrent singles into shared DataTable
+micro-batcher coalesced the concurrent singles into shared plan
 passes.
 
 The result cache is disabled so the numbers measure the model path,

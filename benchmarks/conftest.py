@@ -10,19 +10,10 @@ Each bench both *times* its pipeline stage (pytest-benchmark) and
 *emits* the reproduced table / figure series: printed to stdout (run
 with ``-s`` to watch) and written to ``benchmarks/results/<name>.txt``
 so EXPERIMENTS.md can reference stable artefacts.
-
-Perf-sensitive benches additionally persist a machine-readable
-``benchmarks/results/<name>.json`` via :func:`emit_json` (script mode:
-``--emit-json``); two such files from different builds are diffed by
-``benchmarks/compare.py``, whose ``--max-regress`` flag turns the diff
-into a CI exit gate.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 from pathlib import Path
 
 import pytest
@@ -71,53 +62,3 @@ def emit(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
-
-#: Version of the ``results/<name>.json`` layout; compare.py refuses
-#: to diff files whose versions disagree.
-RESULT_SCHEMA_VERSION = 1
-
-
-def host_fingerprint() -> dict:
-    """Where a benchmark number came from (recorded, never compared)."""
-    import numpy
-
-    from repro.mining.tree.kernel import native_kernel_status
-
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "numpy": numpy.__version__,
-        "native_kernel": native_kernel_status(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def emit_json(name: str, metrics: dict) -> Path:
-    """Persist machine-readable bench metrics for compare.py.
-
-    ``metrics`` maps metric name to ``{"value": float, "better":
-    "higher"|"lower"}`` — the direction tells the comparator which way
-    a delta counts as a regression.  Written to
-    ``benchmarks/results/<name>.json``.
-    """
-    for metric, entry in metrics.items():
-        if entry.get("better") not in ("higher", "lower"):
-            raise ValueError(
-                f"metric {metric!r}: 'better' must be 'higher' or "
-                f"'lower', got {entry.get('better')!r}"
-            )
-        float(entry["value"])  # must be a real number
-    payload = {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "bench": name,
-        "host": host_fingerprint(),
-        "metrics": metrics,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {len(metrics)} metric(s) -> {path}")
-    return path

@@ -22,7 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.assessment import assess_scores
-from repro.core.thresholds import TARGET_COLUMN, build_threshold_dataset
+from repro.core.thresholds import (
+    TARGET_COLUMN,
+    build_threshold_dataset,
+    target_vector,
+)
 from repro.datatable import DataTable
 from repro.evaluation import train_valid_split
 from repro.exceptions import ReproError
@@ -122,9 +126,7 @@ class CrashPronenessScorer:
             regression = RegressionTree(tree_config).fit(
                 split.train, TARGET_COLUMN
             )
-        actual = build_threshold_dataset(
-            split.valid, threshold
-        ).target_vector()
+        actual = target_vector(split.valid)
         assessment = assess_scores(actual, model.predict_proba(split.valid))
         return cls(
             threshold=threshold,

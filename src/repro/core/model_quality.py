@@ -22,7 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.assessment import assess_scores
-from repro.core.thresholds import TARGET_COLUMN, build_threshold_dataset
+from repro.core.thresholds import (
+    TARGET_COLUMN,
+    build_threshold_dataset,
+    target_vector,
+)
 from repro.datatable import DataTable
 from repro.evaluation import train_valid_split
 from repro.exceptions import EvaluationError
@@ -95,12 +99,8 @@ def train_validation_profile(
     split = train_valid_split(
         dataset.table, rng, train_fraction, stratify_by=TARGET_COLUMN
     )
-    train_actual = build_threshold_dataset(
-        split.train, threshold
-    ).target_vector()
-    valid_actual = build_threshold_dataset(
-        split.valid, threshold
-    ).target_vector()
+    train_actual = target_vector(split.train)
+    valid_actual = target_vector(split.valid)
     if min_leaf is None:
         min_leaf = max(25, dataset.table.n_rows // 300)
     points: list[QualityPoint] = []

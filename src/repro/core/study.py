@@ -56,7 +56,7 @@ from repro.core.thresholds import (
     PHASE2_THRESHOLDS,
     TARGET_COLUMN,
     ThresholdDataset,
-    build_threshold_dataset,
+    target_vector,
 )
 from repro.datatable import DataTable
 from repro.evaluation import cross_val_scores, r_squared, train_valid_split
@@ -206,10 +206,7 @@ def fit_tree_models(
         decision = DecisionTreeClassifier(config).fit(
             split.train, TARGET_COLUMN
         )
-        valid_dataset = build_threshold_dataset(
-            split.valid, dataset.threshold
-        )
-        pooled_actual.append(valid_dataset.target_vector())
+        pooled_actual.append(target_vector(split.valid))
         pooled_scores.append(decision.predict_proba(split.valid))
         decision_leaves.append(decision.n_leaves)
         regression = RegressionTree(config).fit(split.train, TARGET_COLUMN)
@@ -287,8 +284,7 @@ def fit_m5_model(
         dataset.table, rng, train_fraction, stratify_by=TARGET_COLUMN
     )
     model = M5ModelTree().fit(split.train, TARGET_COLUMN)
-    valid = build_threshold_dataset(split.valid, dataset.threshold)
-    actual = valid.target_vector().astype(np.float64)
+    actual = target_vector(split.valid).astype(np.float64)
     return r_squared(actual, model.predict(split.valid))
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "build_threshold_dataset",
     "build_threshold_series",
     "table1_rows",
+    "target_vector",
 ]
 
 CRASH_COUNT_COLUMN = "segment_crash_count"
@@ -81,10 +82,14 @@ class ThresholdDataset:
 
     def target_vector(self) -> np.ndarray:
         """0/1 target aligned with the table rows."""
-        col = self.table.categorical(TARGET_COLUMN)
-        return (col.codes == col.labels.index(POSITIVE_LABEL)).astype(
-            np.int64
-        )
+        return target_vector(self.table)
+
+
+def target_vector(table: DataTable) -> np.ndarray:
+    """0/1 ``crash_prone`` target of a table that carries it: a CP-k
+    dataset's table, or any row subset of one such as a split."""
+    col = table.categorical(TARGET_COLUMN)
+    return (col.codes == col.labels.index(POSITIVE_LABEL)).astype(np.int64)
 
 
 def build_threshold_dataset(

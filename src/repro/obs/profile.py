@@ -45,7 +45,7 @@ __all__ = ["ActiveSpanRegistry", "SamplingProfiler", "DEFAULT_HZ"]
 
 #: Default sampling rate.  19 Hz is deliberately prime (no lockstep
 #: with 10/100 ms periodic work) and cheap: < 5% overhead on the paper
-#: study, measured in ``benchmarks/results/profiling.json``.
+#: study, measured in ``benchmarks/results/profiling.txt``.
 DEFAULT_HZ = 19
 
 #: Frames kept per sampled stack (root-ward truncation beyond this).

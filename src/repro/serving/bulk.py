@@ -1,7 +1,8 @@
 """Request rows → a typed DataTable.
 
-No scoring path builds this table: the engine encodes request rows
-straight into the compiled plan's arrays (:mod:`repro.serving.encoder`).
+No scoring path builds this table: the engine encodes each request
+row as a key tuple, and a pass lays its fresh keys out as the compiled
+plan's arrays (:mod:`repro.serving.encoder`).
 :func:`build_request_table` stays as the reference that the encoder's
 parity tests score through ``scorer.score``, and because perfbench
 times it by import path.

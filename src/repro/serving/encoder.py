@@ -1,14 +1,15 @@
-"""Request rows → a compiled plan's input arrays, validated on the way.
+"""Request rows → cache keys → a compiled plan's input arrays.
 
 :class:`RowEncoder` is built once per loaded scorer from its
 ``input_schema()``.  One pass over a request's rows checks every value
-and writes it in the layout :meth:`TreePlan.evaluate
-<repro.mining.tree.compile.TreePlan.evaluate>` reads: numbers as
-float64 (``None`` becomes NaN), labels as LUT-shifted
-training-vocabulary codes (0 = missing, ``1..n_levels`` = the
-vocabulary, ``n_levels + 1`` = unseen).  Each row's cache key is built
-from the same encoded values, so two rows that share a key route
-identically through the tree.
+and encodes each row as one tuple in schema order, its only encoded
+form: numbers as float (``None`` and every NaN become one shared NaN
+object), labels as LUT-shifted training-vocabulary codes (0 = missing,
+``1..n_levels`` = the vocabulary, ``n_levels + 1`` = unseen).  The
+tuple is the row's result-cache key, so two rows that share a key
+route identically through the tree, and :meth:`RowEncoder.plan_rows`
+lays the keys a pass evaluates out as the block :meth:`TreePlan.evaluate
+<repro.mining.tree.compile.TreePlan.evaluate>` reads.
 
 The encoding reproduces the table path exactly: a
 :class:`~repro.datatable.CategoricalColumn` stores labels as numpy
@@ -26,66 +27,19 @@ import numpy as np
 from repro.exceptions import ServingError
 from repro.mining.tree.compile import PlanInput, PlanRows, plan_inputs
 
-__all__ = ["EncodedRows", "RowEncoder", "join"]
+__all__ = ["RowEncoder"]
 
-#: Stand-in for NaN in cache keys.  ``float("nan")`` is unusable as a
-#: dict key component: NaN != NaN, so every lookup missed and every
-#: miss inserted another never-hittable entry.  The sentinel restores
-#: normal hashing while staying distinct from every real value.
-_NAN_KEY = "__nan__"
-
+#: The one NaN every missing number encodes to.  NaN != NaN, but tuple
+#: and dict comparisons check identity first and a NaN hashes by
+#: identity, so keys holding this one object hash and compare equal,
+#: where a request's own NaN (``float("nan")``, ``-nan``, a payload
+#: NaN) would make a key that no lookup could hit.  Every NaN routes
+#: the same way, so the plan cannot tell the difference.
 _NAN = float("nan")
 
 
-class EncodedRows:
-    """Validated request rows in encoded form.
-
-    Per row: ``numbers`` (its numeric inputs in plan order, NaN for
-    missing), ``codes`` (its LUT-shifted nominal codes in plan order)
-    and ``keys`` (its cache key).  The plan-layout block is built by
-    :meth:`plan_rows` only for rows a pass evaluates, so a request the
-    result cache answers costs no array work.
-    """
-
-    __slots__ = ("numbers", "codes", "keys")
-
-    def __init__(
-        self,
-        numbers: list[list[float]],
-        codes: list[list[int]],
-        keys: list[tuple],
-    ):
-        self.numbers = numbers
-        self.codes = codes
-        self.keys = keys
-
-    def take(self, indices: list[int]) -> "EncodedRows":
-        """The rows at ``indices``, in that order."""
-        return EncodedRows(
-            [self.numbers[i] for i in indices],
-            [self.codes[i] for i in indices],
-            [self.keys[i] for i in indices],
-        )
-
-    def plan_rows(self) -> PlanRows:
-        """These rows as a :class:`PlanRows` block (at least one row)."""
-        return PlanRows(
-            np.ascontiguousarray(np.array(self.numbers, dtype=np.float64).T),
-            np.ascontiguousarray(np.array(self.codes, dtype=np.int64).T),
-        )
-
-
-def join(slices: list[tuple[EncodedRows, int, int]]) -> EncodedRows:
-    """Rows ``start:stop`` of each part, in order, as one request."""
-    return EncodedRows(
-        [n for part, a, b in slices for n in part.numbers[a:b]],
-        [c for part, a, b in slices for c in part.codes[a:b]],
-        [k for part, a, b in slices for k in part.keys[a:b]],
-    )
-
-
 class RowEncoder:
-    """Validates request rows and encodes them in plan layout.
+    """Validates request rows and encodes each as its key.
 
     ``schema`` is the scorer's ``input_schema()``; ``name`` labels the
     scorer in error messages.  Error texts and row indices are the
@@ -117,26 +71,25 @@ class RowEncoder:
             else:
                 lookup = {label: code + 1 for code, label in enumerate(levels)}
                 self._columns.append((column, lookup, len(levels) + 1))
+        # Key positions of the numeric and the nominal plan inputs.
+        self._numeric = np.flatnonzero([c[1] is None for c in self._columns])
+        self._nominal = np.flatnonzero([c[1] is not None for c in self._columns])
 
-    def encode(self, rows: list | tuple) -> EncodedRows:
-        """Validate and encode ``rows``; raise :class:`ServingError`
-        naming the first bad row."""
-        encoded = EncodedRows([], [], [])
-        for index, row in enumerate(rows):
-            numbers: list[float] = []
-            codes: list[int] = []
-            encoded.keys.append(self._encode_row(row, index, numbers, codes))
-            encoded.numbers.append(numbers)
-            encoded.codes.append(codes)
-        return encoded
+    def encode(self, rows: list | tuple) -> list[tuple]:
+        """Validate ``rows`` and return their keys; raise
+        :class:`ServingError` naming the first bad row."""
+        return [self.key(row, index) for index, row in enumerate(rows)]
+
+    def plan_rows(self, keys: list[tuple]) -> PlanRows:
+        """``keys`` (at least one) as a :class:`PlanRows` block."""
+        block = np.array(keys, dtype=np.float64).T
+        return PlanRows(
+            block.take(self._numeric, axis=0),
+            block.take(self._nominal, axis=0).astype(np.int64),
+        )
 
     def key(self, row: object, index: int = 0) -> tuple:
-        """Validate one row and return its cache key."""
-        return self._encode_row(row, index, [], [])
-
-    def _encode_row(
-        self, row: object, index: int, numbers: list, codes: list
-    ) -> tuple:
+        """Validate one row and return its key."""
         if not isinstance(row, dict):
             raise ServingError(
                 f"row {index} must be an object of column values, "
@@ -173,8 +126,7 @@ class RowEncoder:
                             f"number, got an integer outside the float64 "
                             f"range"
                         ) from None
-                numbers.append(number)
-                key.append(number if number == number else _NAN_KEY)
+                key.append(number if number == number else _NAN)
             else:
                 if value is None:
                     code = 0
@@ -187,6 +139,5 @@ class RowEncoder:
                         f"row {index} column {column!r} expects a label, "
                         f"got {value!r}"
                     )
-                codes.append(code)
                 key.append(code)
         return tuple(key)

@@ -7,8 +7,9 @@ request/response service can use:
 * **validation and encoding** — one pass of the scorer's
   :class:`~repro.serving.encoder.RowEncoder` checks every request row
   against the input schema (missing columns, numbers where labels
-  belong, and vice versa) and writes it straight into the compiled
-  plan's input arrays before it gets near the model;
+  belong, and vice versa) and encodes it as one key tuple before it
+  gets near the model; a pass lays the keys it evaluates out as the
+  compiled plan's input arrays;
 * **micro-batching** — each request is one entry in a pending queue,
   and whole requests are scored as *one* plan evaluation, amortising
   per-call overhead exactly the way the study amortises per-threshold
@@ -23,7 +24,9 @@ request/response service can use:
   once on its caller's thread; ``max_wait_ms`` caps the wait, it is
   not a delay every request pays;
 * **LRU result caching** — road segments re-score constantly with
-  unchanged attributes, so results are cached by encoded row.
+  unchanged attributes, so results are cached by each row's key, the
+  one encoded form a row has from :meth:`ScoringEngine.submit` to the
+  plan.
 
 The engine is model-agnostic within the scorer contract: everything it
 needs (input names, column kinds) comes from
@@ -45,7 +48,7 @@ import numpy as np
 from repro.core.deployment import CrashPronenessScorer
 from repro.exceptions import ServingError
 from repro.obs import trace as obs_trace
-from repro.serving.encoder import EncodedRows, RowEncoder, join
+from repro.serving.encoder import RowEncoder
 
 __all__ = ["LRUResultCache", "ScoringEngine", "last_queue_wait_ms"]
 
@@ -105,7 +108,7 @@ class LRUResultCache:
 
 
 class _Request:
-    """One queued request: its encoded rows and its caller's state.
+    """One queued request: its rows, their keys and its caller's state.
 
     A pass takes a request whole, or in slices when it holds more rows
     than fit; ``taken`` counts the rows handed to passes.  Passes run
@@ -124,13 +127,13 @@ class _Request:
     """
 
     __slots__ = (
-        "rows", "encoded", "probabilities", "taken", "done", "error",
+        "rows", "keys", "probabilities", "taken", "done", "error",
         "lead", "event", "enqueued_at", "dequeued_at", "trace_context",
     )
 
-    def __init__(self, rows: list, encoded: EncodedRows, trace_context=None):
+    def __init__(self, rows: list, keys: list[tuple], trace_context=None):
         self.rows = rows
-        self.encoded = encoded
+        self.keys = keys
         self.probabilities: list[float] = []
         self.taken = 0
         self.done = False
@@ -251,75 +254,51 @@ class ScoringEngine:
         self.encoder.key(row, index)
         return cast(dict, row)
 
-    def canonical_key(self, row: dict) -> tuple:
-        """Cache key of a valid row: its encoded values in schema order
-        (numbers as float, NaN as a sentinel, labels as their
-        training-vocabulary codes)."""
-        return self.encoder.key(row)
-
     # -- direct (already-batched) scoring ----------------------------------
     def score_rows(
-        self, rows: list[dict], encoded: EncodedRows | None = None
+        self, rows: list[dict], encoded: list[tuple] | None = None
     ) -> list[float]:
         """Score rows in one pass, consulting the LRU cache.
 
-        ``encoded`` is ``rows`` as :meth:`RowEncoder.encode` left them,
-        for a pass over requests encoded when they were submitted;
-        without it the rows are validated and encoded here.
+        ``encoded`` is the rows' keys as :meth:`RowEncoder.encode`
+        returned them, for a pass over requests encoded when they were
+        submitted; without it the rows are validated and encoded here.
+        Every distinct key the cache misses is evaluated once.
         """
-        if encoded is None:
-            encoded = self.encoder.encode(rows)
+        keys = self.encoder.encode(rows) if encoded is None else encoded
         with obs_trace.span(
             "engine.score_rows", rows=len(rows)
         ) as score_span:
-            results: list[float | None] = [None] * len(rows)
-            fresh: OrderedDict[tuple, list[int]] = OrderedDict()
-            for i, key in enumerate(encoded.keys):
-                cached = self.cache.get(key)
-                if cached is not None:
-                    results[i] = cached
-                else:
-                    fresh.setdefault(key, []).append(i)
+            cached = [self.cache.get(key) for key in keys]
+            misses = dict.fromkeys(
+                key for key, hit in zip(keys, cached) if hit is None
+            )
             if score_span is not None:
-                score_span.attrs["cache_hits"] = len(rows) - sum(
-                    len(ix) for ix in fresh.values()
-                )
-                score_span.attrs["fresh_rows"] = len(fresh)
-            if fresh:
-                probabilities = self._evaluate(
-                    encoded.take([indices[0] for indices in fresh.values()])
-                )
-                if len(probabilities) != len(fresh):
+                score_span.attrs["cache_hits"] = len(rows) - cached.count(None)
+                score_span.attrs["fresh_rows"] = len(misses)
+            scored: dict[tuple, float] = {}
+            if misses:
+                probabilities = self._evaluate(list(misses))
+                if len(probabilities) != len(misses):
                     raise ServingError(
                         f"scorer {self.name!r} returned "
                         f"{len(probabilities)} probabilities for "
-                        f"{len(fresh)} distinct rows"
+                        f"{len(misses)} distinct rows"
                     )
-                for (key, indices), value in zip(
-                    fresh.items(), probabilities.tolist()
-                ):
+                scored = dict(zip(misses, probabilities.tolist()))
+                for key, value in scored.items():
                     self.cache.put(key, value)
-                    for i in indices:
-                        results[i] = value
-            # Every slot must be filled by the cache or the fresh pass.
-            # The old ``[r for r in results if r is not None]`` filter
-            # silently *dropped* unfilled slots, shifting every later
-            # probability onto the wrong row; losing a row is an internal
-            # invariant violation and must be loud.
-            unfilled = [i for i, r in enumerate(results) if r is None]
-            if unfilled:
-                raise ServingError(
-                    f"engine {self.name!r} lost row(s) {unfilled[:5]} of "
-                    f"{len(rows)} in a scoring pass"
-                )
             self.n_scored += len(rows)
-            return results  # fully populated: list[float]
+            return [
+                scored[key] if hit is None else hit
+                for key, hit in zip(keys, cached)
+            ]
 
-    def _evaluate(self, encoded: EncodedRows) -> np.ndarray:
-        """One model pass over distinct fresh encoded rows: P(crash
-        prone) per row.  This is the seam the serving tests wrap to
-        hold or slow a pass."""
-        return self.plan.evaluate(encoded.plan_rows())[0]
+    def _evaluate(self, keys: list[tuple]) -> np.ndarray:
+        """One model pass over distinct fresh keys: P(crash prone) per
+        key.  This is the seam the serving tests wrap to hold or slow
+        a pass."""
+        return self.plan.evaluate(self.encoder.plan_rows(keys))[0]
 
     # -- micro-batched scoring ---------------------------------------------
     def submit(self, *rows: dict) -> _Request:
@@ -517,21 +496,20 @@ class ScoringEngine:
             links=links,
         ):
             if len(slices) == 1 and size == len(opener.rows):
-                rows, encoded = opener.rows, opener.encoded
+                rows, keys = opener.rows, opener.keys
             else:
                 rows = [
                     row
                     for request, start, stop in slices
                     for row in request.rows[start:stop]
                 ]
-                encoded = join(
-                    [
-                        (request.encoded, start, stop)
-                        for request, start, stop in slices
-                    ]
-                )
+                keys = [
+                    key
+                    for request, start, stop in slices
+                    for key in request.keys[start:stop]
+                ]
             try:
-                probabilities = self.score_rows(rows, encoded)
+                probabilities = self.score_rows(rows, keys)
             except Exception as exc:
                 for request, _start, _stop in slices:
                     request.fail(exc)

@@ -62,12 +62,12 @@ class GatedPass:
         self.in_pass = threading.Event()
         self.passes: list[int] = []
 
-    def __call__(self, encoded):
+    def __call__(self, keys):
         self.in_pass.set()
         if not self.gate.wait(30.0):
             raise AssertionError("gate was never opened")
-        self.passes.append(len(encoded.keys))
-        return self.evaluate(encoded)
+        self.passes.append(len(keys))
+        return self.evaluate(keys)
 
 
 @pytest.fixture()

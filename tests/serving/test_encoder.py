@@ -145,7 +145,8 @@ def test_encoded_rows_score_like_the_table_path(scorer, data):
     schema = scorer.input_schema()
     rows = data.draw(_rows(schema))
     expected = scorer.score(build_request_table(rows, schema))
-    block = RowEncoder(schema).encode(rows).plan_rows()
+    encoder = RowEncoder(schema)
+    block = encoder.plan_rows(encoder.encode(rows))
     plan = scorer.scoring_plan()
     for backend in _backends():
         got, _leaves = plan.evaluate(block, backend=backend)
@@ -158,7 +159,8 @@ def test_codes_stay_inside_every_lut_slice(scorer, data):
     """The kernel does no bounds check: each nominal code must index
     its node's slice, ``[0, n_levels + 1]``, by construction."""
     schema = scorer.input_schema()
-    block = RowEncoder(schema).encode(data.draw(_rows(schema))).plan_rows()
+    encoder = RowEncoder(schema)
+    block = encoder.plan_rows(encoder.encode(data.draw(_rows(schema))))
     plan = scorer.scoring_plan()
     nominal = [spec for spec in plan.inputs if not spec.is_numeric]
     assert block.codes.shape == (len(nominal), block.n_rows)

@@ -1,5 +1,7 @@
 """Tests for the validating / micro-batching / caching scoring engine."""
 
+import json
+import struct
 import sys
 import threading
 import time
@@ -8,6 +10,7 @@ import pytest
 
 from repro.exceptions import ServingError
 from repro.serving import LRUResultCache, ScoringEngine
+from repro.serving.bulk import build_request_table
 from repro.serving.engine import last_queue_wait_ms
 from tests.serving.conftest import wait_for_queued
 
@@ -196,11 +199,11 @@ class SlowPass:
         self.passes: list[tuple[int, int]] = []
         self.in_pass = threading.Event()
 
-    def __call__(self, encoded):
+    def __call__(self, keys):
         self.in_pass.set()
-        self.passes.append((threading.get_ident(), len(encoded.keys)))
+        self.passes.append((threading.get_ident(), len(keys)))
         time.sleep(self.delay)
-        return self.evaluate(encoded)
+        return self.evaluate(keys)
 
 
 class FailingPass:
@@ -211,11 +214,11 @@ class FailingPass:
         self.fail_on = fail_on
         self.calls = 0
 
-    def __call__(self, encoded):
+    def __call__(self, keys):
         call, self.calls = self.calls, self.calls + 1
         if call == self.fail_on:
             raise RuntimeError("model pass failed")
-        return self.evaluate(encoded)
+        return self.evaluate(keys)
 
 
 class TestTimeout:
@@ -328,9 +331,9 @@ class TestLeaderFollower:
         evaluate = engine._evaluate
         threads: list[int] = []
 
-        def recording(encoded):
+        def recording(keys):
             threads.append(threading.get_ident())
-            return evaluate(encoded)
+            return evaluate(keys)
 
         engine._evaluate = recording
         try:
@@ -572,25 +575,66 @@ class TestResultCache:
             k: (int(v) if isinstance(v, float) and v.is_integer() else v)
             for k, v in segment_rows[0].items()
         }
-        assert engine.canonical_key(row) == engine.canonical_key(
-            segment_rows[0]
-        )
+        assert engine.encoder.key(row) == engine.encoder.key(segment_rows[0])
 
     def test_nan_valued_rows_hit_the_cache(self, engine, segment_rows):
-        """NaN inputs canonicalise to a sentinel: as a raw key part a
-        NaN can never hit (NaN != NaN), so missing-value rows used to
-        re-score every time and pile up duplicate cache entries."""
+        """NaN inputs encode to one shared NaN object: a row's own NaN
+        as a key part can never hit (NaN != NaN), so missing-value rows
+        used to re-score every time and pile up duplicate cache
+        entries."""
         numeric = next(
             name
             for name, spec in engine.schema.items()
             if spec["kind"] == "numeric"
         )
         row = dict(segment_rows[0], **{numeric: float("nan")})
-        assert engine.canonical_key(row) == engine.canonical_key(dict(row))
+        assert engine.encoder.key(row) == engine.encoder.key(dict(row))
         engine.score_rows([row])
         engine.score_rows([dict(row)])
         assert engine.cache.hits == 1
         assert len(engine.cache) == 1
+
+    def test_nan_variants_share_one_row_in_a_pass(
+        self, serving_scorer, segment_rows, gate_engine
+    ):
+        """Rows that differ only in how one number is missing (None, a
+        fresh NaN, -NaN, a payload NaN, a NaN parsed from JSON) share
+        one key: their pass evaluates one row, every row gets the same
+        probability, and a row holding yet another NaN object hits the
+        cache."""
+        schema = serving_scorer.input_schema()
+        numeric = next(
+            name for name, spec in schema.items() if spec["kind"] == "numeric"
+        )
+        (payload_nan,) = struct.unpack(
+            "<d", struct.pack("<Q", 0x7FF8000000000001)
+        )
+        missing = [
+            None,
+            float("nan"),
+            -float("nan"),
+            payload_nan,
+            json.loads("NaN"),
+        ]
+        rows = [dict(segment_rows[0], **{numeric: value}) for value in missing]
+        expected = serving_scorer.score(build_request_table(rows[:1], schema))
+        engine = ScoringEngine(serving_scorer, name="cp8")
+        gated = gate_engine(engine)
+        gated.gate.set()
+        try:
+            probabilities = engine.score_many(rows)
+            assert gated.passes == [1]
+            assert {p.hex() for p in probabilities} == {
+                float(expected[0]).hex()
+            }
+            again = engine.score_one(
+                dict(segment_rows[0], **{numeric: float("nan")})
+            )
+            assert again.hex() == probabilities[0].hex()
+            assert gated.passes == [1]
+            assert engine.cache.hits == 1
+        finally:
+            engine.close()
 
     def test_lru_eviction(self):
         cache = LRUResultCache(max_size=2)
@@ -619,7 +663,7 @@ class TestIntegrity:
         """A scoring pass that loses rows must raise, not silently
         drop slots and shift later probabilities onto wrong rows."""
         original = engine._evaluate
-        engine._evaluate = lambda encoded: original(encoded)[:-1]
+        engine._evaluate = lambda keys: original(keys)[:-1]
         with pytest.raises(ServingError, match="probabilities"):
             engine.score_rows(segment_rows[:4])
 
