@@ -18,7 +18,8 @@ import tempfile
 from pathlib import Path
 
 from repro.core.deployment import CrashPronenessScorer
-from repro.loadtest import LoadTest, SLOSpec
+from repro.loadtest import SLOSpec
+from repro.loadtest.runner import LoadTest
 from repro.obs import Tracer
 from repro.serving import ScoringService
 

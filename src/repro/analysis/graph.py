@@ -428,7 +428,7 @@ class ProjectGraph:
                 if target is not None:
                     return site("method", f"{receiver_cls.name}.{attr}", (target,))
                 # Known project class without that method: inherited
-                # from an external base (e.g. ThreadingHTTPServer).
+                # from an external base (e.g. socketserver.ThreadingTCPServer).
                 return site("external", dotted or f".{attr}")
 
             # A dotted callee rooted at an imported name that matched

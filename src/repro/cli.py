@@ -995,8 +995,9 @@ def _loadtest_rows(dataset, input_schema) -> list[dict]:
 
 
 def _cmd_loadtest(args) -> int:
-    from repro.loadtest import LoadTest, SLOSpec
+    from repro.loadtest import SLOSpec
     from repro.loadtest.profiles import get_profile
+    from repro.loadtest.runner import LoadTest
 
     if (args.model_dir is None) == (args.url is None):
         print(

@@ -6,9 +6,12 @@ The package turns "is the server fast enough?" into a regression gate:
   (fixed-rate and Poisson schedules, deterministic in the seed);
 * :mod:`repro.loadtest.profiles` — weighted workload mixes lowered
   into concrete, pre-encoded request schedules;
-* :mod:`repro.loadtest.runner` — the driver: warmup, measured window,
-  mid-run Prometheus scrape validation, client/server count parity,
-  slowest-request trace waterfalls;
+* :mod:`repro.loadtest.runner` — the driver (``LoadTest``): warmup,
+  measured window, mid-run Prometheus scrape validation, client/server
+  count parity, slowest-request trace waterfalls.  Import it from its
+  module: it loads ``http.client``, ``email`` and ``ssl``, which
+  ``repro.obs`` (through :mod:`repro.loadtest.slo`) and so ``serve``
+  would otherwise load too;
 * :mod:`repro.loadtest.results` — the report model (per-endpoint
   throughput, error rate, p50/p95/p99);
 * :mod:`repro.loadtest.slo` — declarative thresholds evaluated against
@@ -35,7 +38,6 @@ from repro.loadtest.results import (
     RequestOutcome,
     summarise,
 )
-from repro.loadtest.runner import TRACE_HEADER, LoadTest
 from repro.loadtest.slo import SLORule, SLOSpec, SLOViolation
 
 __all__ = [
@@ -53,8 +55,6 @@ __all__ = [
     "ParityCheck",
     "RequestOutcome",
     "summarise",
-    "LoadTest",
-    "TRACE_HEADER",
     "SLORule",
     "SLOSpec",
     "SLOViolation",

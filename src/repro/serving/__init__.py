@@ -15,7 +15,11 @@ layer, built entirely on the standard library:
     coalesce into single compiled-plan passes) and an LRU result cache
     keyed by encoded rows.
 :class:`~repro.serving.http.ScoringService`
-    A ``ThreadingHTTPServer`` exposing ``/healthz``, ``/models``,
+    A ``socketserver.ThreadingTCPServer`` (one thread per connection)
+    behind the module's own HTTP/1.1 framing: a request reader with
+    fixed line and header caps, ``Content-Length`` bodies only, one
+    ``sendall`` per response and a kernel-side read/write deadline on
+    every connection.  It exposes ``/healthz``, ``/models``,
     ``/metrics``, ``/v1/score`` and ``/v1/score/batch`` as JSON, with
     per-endpoint request counters, latency histograms
     (:class:`~repro.serving.metrics.RequestMetrics`, built on one

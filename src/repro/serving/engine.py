@@ -65,7 +65,7 @@ last_queue_wait_ms: ContextVar[float | None] = ContextVar(
 class LRUResultCache:
     """A thread-safe least-recently-used probability cache.
 
-    ``max_size <= 0`` disables caching entirely (every ``get`` misses,
+    ``max_size <= 0`` disables caching entirely (every lookup misses,
     ``put`` is a no-op) — the load benchmark uses that to measure the
     model path rather than dict lookups.
     """
@@ -90,6 +90,16 @@ class LRUResultCache:
             self._data[key] = value
             self.hits += 1
             return value
+
+    def lookup(self, keys: list[tuple]) -> list[float | None]:
+        """:meth:`get` for every key.  A disabled cache counts every key
+        a miss in one locked add and takes no lock per key."""
+        if self.max_size > 0:
+            return [self.get(key) for key in keys]
+        with self._lock:
+            self.misses += len(keys)
+        misses: list[float | None] = [None] * len(keys)
+        return misses
 
     def put(self, key: tuple, value: float) -> None:
         if self.max_size <= 0:
@@ -269,7 +279,7 @@ class ScoringEngine:
         with obs_trace.span(
             "engine.score_rows", rows=len(rows)
         ) as score_span:
-            cached = [self.cache.get(key) for key in keys]
+            cached = self.cache.lookup(keys)
             misses = dict.fromkeys(
                 key for key, hit in zip(keys, cached) if hit is None
             )

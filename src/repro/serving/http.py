@@ -2,7 +2,7 @@
 
 :class:`ScoringService` wires a :class:`~repro.serving.registry.ScorerRegistry`
 and per-model :class:`~repro.serving.engine.ScoringEngine` instances
-behind a :class:`http.server.ThreadingHTTPServer`:
+behind a :class:`socketserver.ThreadingTCPServer` speaking HTTP/1.1:
 
 * ``GET  /healthz``          — liveness + registry size + uptime;
 * ``GET  /models``           — refresh the registry and list artefacts;
@@ -18,10 +18,17 @@ behind a :class:`http.server.ThreadingHTTPServer`:
 * ``POST /v1/score/batch``   — ``{"model": ..., "rows": [...]}`` → a
   probability per row, scored in shared micro-batch passes.
 
-One handler thread per connection (ThreadingHTTPServer).  Each
-handler submits its request to the model's engine and either scores
-the pass itself, when no pass is running, or waits for the handler
-thread that leads the pass holding its rows; that is where the
+One handler thread per connection.  The HTTP framing is this module's
+own and covers exactly what the service speaks: :func:`read_request`
+reads a request line and its header fields under fixed caps, a body
+comes by ``Content-Length`` only, and each response goes out as one
+``bytes`` object in one ``sendall``.  Every socket read and write runs
+under the kernel-side deadline :data:`READ_DEADLINE_S`, so an idle or
+stalled connection releases its thread.
+
+Each handler submits its request to the model's engine and either
+scores the pass itself, when no pass is running, or waits for the
+handler thread that leads the pass holding its rows; that is where the
 concurrency pays off: N in-flight requests become ~N/max_batch model
 passes.  A lone request is scored at once on its own handler thread;
 ``max_wait_ms`` only caps how long a pass waits for callers it
@@ -39,14 +46,21 @@ metric cardinality.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
+import re
+import socket
+import socketserver
+import struct
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from io import BufferedIOBase
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import ReproError, ServingError
@@ -81,6 +95,38 @@ _POST_ROUTES = (
 #: error_type fallbacks for statuses whose handler returns an error
 #: payload without raising (so no exception class is available).
 _STATUS_ERROR_TYPES = {404: "NotFound", 413: "BodyTooLarge"}
+
+#: Framing caps, in bytes and lines.  A longer request line is a 414.
+#: Header fields past MAX_HEADER_BYTES in all (each line's CRLF and the
+#: blank line that ends them included), or a head of more than
+#: MAX_HEADER_LINES lines counting that blank line (the stdlib's count),
+#: are a 431.
+MAX_LINE = 8 * 1024
+MAX_HEADER_BYTES = 16 * 1024
+MAX_HEADER_LINES = 100
+
+#: Seconds one socket read or write may wait before the connection is
+#: dropped: a kernel-side SO_RCVTIMEO/SO_SNDTIMEO on the blocking
+#: socket, so no call pays for it (``settimeout`` would poll before
+#: every recv and send).  It bounds idle keep-alive connections and
+#: stalled uploads; a client trickling a byte per deadline still holds
+#: its thread.
+READ_DEADLINE_S = 30.0
+
+#: A header field name: visible ASCII, the bytes the stdlib's header
+#: parser accepts before the colon.  Whitespace before the colon or at
+#: the start of the line (obs-fold) fails it.
+_FIELD_NAME = re.compile(r"[!-~]+")
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+#: What a dead or stalled client raises on a socket call: a reset or
+#: broken pipe, or BlockingIOError from a send past the deadline.
+_CLIENT_GONE = (ConnectionError, BlockingIOError)
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
 
 
 def build_info() -> dict[str, str]:
@@ -135,6 +181,154 @@ def _body_length(declared: str, cap: int) -> int | None:
     if len(digits) > len(str(cap)) or int(digits) > cap:
         return None
     return int(digits)
+
+
+class FramingError(ServingError):
+    """A request whose framing cannot be read; ``status`` is the answer.
+
+    The connection is closed after answering, because where the next
+    request starts is unknown.
+    """
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+class RequestHead(NamedTuple):
+    """A request line and its header fields, as :func:`read_request`
+    read them."""
+
+    method: str
+    #: The request target, a leading ``//`` collapsed to ``/``.
+    target: str
+    #: Lower-cased names; a repeated field keeps its first value.
+    headers: dict[str, str]
+    keep_alive: bool
+    #: An HTTP/1.1 ``Expect: 100-continue``.
+    expect_continue: bool
+
+
+def _version_error(version: str) -> FramingError:
+    """505 for a well-formed version of 2.0 or later, as the stdlib
+    answers it; 400 for any other version but HTTP/1.0 and HTTP/1.1."""
+    name, _, number = version.partition("/")
+    major, dot, minor = number.partition(".")
+    if (
+        name == "HTTP"
+        and dot
+        and all(
+            part.isascii() and part.isdigit() and len(part) <= 10
+            for part in (major, minor)
+        )
+        and int(major) >= 2
+    ):
+        return FramingError(505, f"HTTP version {version} is not supported")
+    return FramingError(400, f"bad request version {version[:32]!r}")
+
+
+def read_request(rfile: BufferedIOBase) -> RequestHead | None:
+    """Read one request line and its header fields from ``rfile``.
+
+    The request line is ``METHOD SP target SP HTTP/1.x`` (words split on
+    whitespace, as the stdlib does), HTTP/1.0 or HTTP/1.1 only; header
+    fields are ``name: value`` lines.  Keep-alive follows the version
+    and the ``Connection`` field, as in the stdlib.
+
+    Returns ``None`` when the connection ends before a complete head:
+    the client closed it or sent nothing for :data:`READ_DEADLINE_S`.
+    Under ``SO_RCVTIMEO`` a timed-out read returns what it has instead
+    of raising, so a line without its LF means either.  A blank request
+    line ends the connection too, as in the stdlib.  Raises
+    :class:`FramingError` for a head that cannot be framed: a malformed
+    line (400), an unsupported version (400, or 505 from 2.0 on), the
+    caps (414, 431), a header line that is not ``name: value`` or holds
+    a CR or NUL (400), differing ``Content-Length`` values (400) and
+    any ``Transfer-Encoding`` (501).
+    """
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise FramingError(414, f"request line longer than {MAX_LINE} bytes")
+    if line[-1:] != b"\n":
+        return None
+    text = str(line, "iso-8859-1")
+    words = text.split()
+    if not words:
+        return None
+    if len(words) != 3:
+        # The stdlib judges the version before the word count.
+        if len(words) > 3 and words[-1] not in ("HTTP/1.0", "HTTP/1.1"):
+            raise _version_error(words[-1])
+        raise FramingError(
+            400, f"malformed request line {text.strip()[:64]!r}"
+        )
+    method, target, version = words
+    if version == "HTTP/1.1":
+        keep_alive = True
+    elif version == "HTTP/1.0":
+        keep_alive = False
+    else:
+        raise _version_error(version)
+    headers: dict[str, str] = {}
+    budget = MAX_HEADER_BYTES
+    for _ in range(MAX_HEADER_LINES):
+        line = rfile.readline(budget + 1)
+        if len(line) > budget:
+            raise FramingError(
+                431, f"header fields longer than {MAX_HEADER_BYTES} bytes"
+            )
+        if line == b"\r\n" or line == b"\n":
+            break
+        if line[-1:] != b"\n":
+            return None
+        budget -= len(line)
+        field = str(
+            line[:-2] if line[-2:] == b"\r\n" else line[:-1], "iso-8859-1"
+        )
+        name, colon, value = field.partition(":")
+        if (
+            not colon
+            or not _FIELD_NAME.fullmatch(name)
+            or "\r" in field
+            or "\0" in field
+        ):
+            raise FramingError(400, f"malformed header line {field[:64]!r}")
+        key = name.lower()
+        value = value.strip(" \t")
+        if headers.setdefault(key, value) != value and key == "content-length":
+            raise FramingError(400, "differing Content-Length values")
+    else:
+        raise FramingError(
+            431, f"more than {MAX_HEADER_LINES - 1} header fields"
+        )
+    if "transfer-encoding" in headers:
+        raise FramingError(
+            501, "Transfer-Encoding is not supported; send a Content-Length"
+        )
+    connection = headers.get("connection", "").lower()
+    if connection == "close":
+        keep_alive = False
+    elif connection == "keep-alive":
+        keep_alive = True
+    expect_continue = (
+        version == "HTTP/1.1"
+        and headers.get("expect", "").lower() == "100-continue"
+    )
+    if target.startswith("//"):
+        target = "/" + target.lstrip("/")
+    return RequestHead(method, target, headers, keep_alive, expect_continue)
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` field value for a Unix second: RFC 9110's
+    IMF-fixdate, as ``email.utils.formatdate(second, usegmt=True)``
+    writes it.  Cached, so it is formatted at most once per second."""
+    t = time.gmtime(second)
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+        f"{t.tm_year:04d} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
 
 
 class TextResponse:
@@ -248,7 +442,7 @@ class ScoringService:
         self.metrics = RequestMetrics()
         self._engines: dict[str, ScoringEngine] = {}
         self._engines_lock = threading.Lock()
-        self._server: ThreadingHTTPServer | None = None
+        self._server: socketserver.ThreadingTCPServer | None = None
         self._thread: threading.Thread | None = None
         self._started_at = time.monotonic()
         # Graceful-drain bookkeeping: in-flight request count guarded
@@ -506,32 +700,56 @@ class ScoringService:
         return 404, {"error": f"no route for POST {path}"}
 
     # -- lifecycle ---------------------------------------------------------
-    def _make_server(self) -> ThreadingHTTPServer:
+    def _make_server(self) -> socketserver.ThreadingTCPServer:
         service = self
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # Buffer each response into one write and disable Nagle:
-            # the default unbuffered wfile emits every header line as
-            # its own TCP segment, which interacts with client delayed
-            # ACKs into a ~40 ms stall per request.
-            wbufsize = -1
+        class Handler(socketserver.StreamRequestHandler):
+            # Nagle would hold a response's segment for the client's
+            # delayed ACK of the previous one: a ~40 ms stall.
             disable_nagle_algorithm = True
 
-            def log_message(self, *args) -> None:  # quiet by default
-                pass
+            def setup(self) -> None:
+                super().setup()
+                seconds, fraction = divmod(READ_DEADLINE_S, 1.0)
+                deadline = struct.pack(
+                    "ll", int(seconds), int(fraction * 1_000_000)
+                )
+                for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+                    self.connection.setsockopt(
+                        socket.SOL_SOCKET, option, deadline
+                    )
 
-            def handle_one_request(self) -> None:
-                # _dispatch handles resets inside a request.  One that
-                # escapes to here came while reading the next request
-                # line or headers: a keep-alive client hung up between
-                # requests.  That is the end of the connection, not a
-                # request, so nothing is counted and socketserver's
-                # handle_error never prints a traceback for it.
+            def handle(self) -> None:
+                self.close_connection = False
+                while not self.close_connection:
+                    try:
+                        head = read_request(self.rfile)
+                    except FramingError as exc:
+                        self._refuse(exc.status, str(exc))
+                        return
+                    except _CLIENT_GONE:
+                        # A keep-alive client hung up between requests:
+                        # the end of the connection, not a request, so
+                        # nothing is counted and socketserver's
+                        # handle_error prints no traceback for it.
+                        return
+                    if head is None:
+                        return
+                    if head.method not in ("GET", "POST"):
+                        self._refuse(
+                            501, f"unsupported method {head.method!r}"
+                        )
+                        return
+                    self.close_connection = not head.keep_alive
+                    self._dispatch(head)
+
+            def _refuse(self, status: int, message: str) -> None:
+                """Answer a framing error once; the caller then closes."""
+                self.close_connection = True
                 try:
-                    super().handle_one_request()
-                except (BrokenPipeError, ConnectionResetError):
-                    self.close_connection = True
+                    self._respond(status, {"error": message})
+                except _CLIENT_GONE:
+                    pass
 
             def _respond(
                 self,
@@ -539,73 +757,77 @@ class ScoringService:
                 payload: dict | TextResponse,
                 trace_id: str | None = None,
             ) -> int:
+                """Send one response in one ``sendall``; returns the
+                body's byte count."""
                 if isinstance(payload, TextResponse):
-                    data = payload.text.encode("utf-8")
+                    body = payload.text.encode("utf-8")
                     content_type = payload.content_type
                 else:
-                    data = json.dumps(_jsonable(payload)).encode("utf-8")
+                    body = json.dumps(_jsonable(payload)).encode("utf-8")
                     content_type = "application/json"
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(data)))
+                head = (
+                    f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+                    f"Date: {_http_date(int(time.time()))}\r\n"
+                    f"Content-Type: {content_type}\r\n"
+                    f"Content-Length: {len(body)}\r\n"
+                )
                 if trace_id is not None:
-                    self.send_header("X-Repro-Trace-Id", trace_id)
-                self.end_headers()
-                self.wfile.write(data)
-                # Flush here, not in handle_one_request: the buffered
-                # wfile surfaces a dead client (BrokenPipe/reset) at
-                # flush time, and only inside _dispatch's try block can
-                # that be counted as a client_abort.
-                self.wfile.flush()
-                return len(data)
+                    head += f"X-Repro-Trace-Id: {trace_id}\r\n"
+                if self.close_connection:
+                    head += "Connection: close\r\n"
+                self.connection.sendall(
+                    (head + "\r\n").encode("latin-1") + body
+                )
+                return len(body)
 
             def _handle(
-                self, method: str, path: str, query: dict[str, str]
+                self, head: RequestHead, path: str, query: dict[str, str]
             ) -> tuple[int, dict | TextResponse | None, str | None]:
                 """Route one request; returns (status, payload,
                 error_type) and never raises.  A ``None`` payload
                 means the client is gone — nothing to respond to."""
                 try:
-                    if method == "GET":
-                        status, payload = service.handle_get(path, query)
-                    else:
-                        declared = (
-                            self.headers.get("Content-Length") or "0"
-                        ).strip()
-                        # No limit still caps a read at sys.maxsize.
-                        cap = service.max_body_bytes or sys.maxsize
-                        # Refuse a malformed or over-limit length before
-                        # reading; the unread body would desynchronise
-                        # keep-alive, so the connection is closed after
-                        # responding.
+                    declared = head.headers.get("content-length") or "0"
+                    # No limit still caps a read at sys.maxsize.
+                    cap = service.max_body_bytes or sys.maxsize
+                    # Refuse a malformed or over-limit length before
+                    # reading; the unread body would desynchronise
+                    # keep-alive, so the connection is closed after
+                    # responding.
+                    try:
+                        length = _body_length(declared, cap)
+                    except ServingError:
+                        self.close_connection = True
+                        raise
+                    if length is None:
+                        self.close_connection = True
+                        shown = declared if len(declared) <= 24 else (
+                            f"{declared[:21]}..."
+                        )
+                        return 413, {
+                            "error": (
+                                f"request body of {shown} bytes "
+                                f"exceeds the {cap}-byte limit"
+                            ),
+                        }, "BodyTooLarge"
+                    raw: bytes | None = b""
+                    if length:
                         try:
-                            length = _body_length(declared, cap)
-                        except ServingError:
-                            self.close_connection = True
-                            raise
-                        if length is None:
-                            self.close_connection = True
-                            shown = declared if len(declared) <= 24 else (
-                                f"{declared[:21]}..."
-                            )
-                            return 413, {
-                                "error": (
-                                    f"request body of {shown} bytes "
-                                    f"exceeds the {cap}-byte limit"
-                                ),
-                            }, "BodyTooLarge"
-                        try:
-                            raw = self.rfile.read(length) if length else b""
-                        except (
-                            BrokenPipeError,
-                            ConnectionResetError,
-                        ):
-                            # The client hung up mid-upload.  Status
-                            # 499 (nginx's "client closed request")
-                            # labels it; payload None skips the
-                            # response entirely.
+                            if head.expect_continue:
+                                self.connection.sendall(_CONTINUE)
+                            raw = self.rfile.read(length)
+                        except _CLIENT_GONE:
+                            raw = None
+                        if raw is None or len(raw) < length:
+                            # The client hung up mid-upload, or sent
+                            # nothing for READ_DEADLINE_S.  Status 499
+                            # (nginx's "client closed request") labels
+                            # it; payload None skips the response.
                             self.close_connection = True
                             return 499, None, "client_abort"
+                    if head.method == "GET":
+                        status, payload = service.handle_get(path, query)
+                    else:
                         try:
                             body = json.loads(raw) if raw else {}
                         except ValueError as exc:
@@ -634,18 +856,19 @@ class ScoringService:
                 )
                 return status, payload, error_type
 
-            def _dispatch(self, method: str) -> None:
+            def _dispatch(self, head: RequestHead) -> None:
                 with service._drain_cond:
                     service._inflight += 1
                 try:
-                    self._dispatch_inner(method)
+                    self._dispatch_inner(head)
                 finally:
                     with service._drain_cond:
                         service._inflight -= 1
                         service._drain_cond.notify_all()
 
-            def _dispatch_inner(self, method: str) -> None:
-                parsed = urlsplit(self.path)
+            def _dispatch_inner(self, head: RequestHead) -> None:
+                method = head.method
+                parsed = urlsplit(head.target)
                 path = parsed.path
                 query = {
                     key: values[0]
@@ -665,7 +888,7 @@ class ScoringService:
                     if request_span is not None:
                         trace_id = request_span.trace_id
                     status, payload, error_type = self._handle(
-                        method, path, query
+                        head, path, query
                     )
                     queue_wait = last_queue_wait_ms.get()
                     if request_span is not None:
@@ -693,10 +916,7 @@ class ScoringService:
                         n_bytes = self._respond(
                             status, payload, trace_id=trace_id
                         )
-                    except (
-                        BrokenPipeError,
-                        ConnectionResetError,
-                    ):
+                    except _CLIENT_GONE:
                         # The client went away between sending the
                         # request and reading the response — routine
                         # under load (timeouts, impatient callers),
@@ -721,7 +941,7 @@ class ScoringService:
                         # double-count the request), the connection is
                         # dropped, and the exception stops here —
                         # re-raising inside the handler thread would
-                        # only vanish into ThreadingHTTPServer.
+                        # only vanish into socketserver.
                         error_type = error_type or type(exc).__name__
                         service.metrics.record_error(
                             endpoint, type(exc).__name__
@@ -744,14 +964,9 @@ class ScoringService:
                         queue_wait_ms=queue_wait,
                     )
 
-            def do_GET(self) -> None:
-                self._dispatch("GET")
-
-            def do_POST(self) -> None:
-                self._dispatch("POST")
-
-        class Server(ThreadingHTTPServer):
+        class Server(socketserver.ThreadingTCPServer):
             daemon_threads = True
+            allow_reuse_address = True
             # socketserver's default listen backlog is 5.  A burst of
             # concurrent clients (the 64-thread stress test opens every
             # connection at once) overflows it; the kernel then drops

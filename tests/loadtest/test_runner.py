@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.loadtest import LoadTest
+from repro.loadtest.runner import LoadTest
 from repro.obs import Tracer
 from repro.serving import ScoringService
 

@@ -1,12 +1,10 @@
 """Regression: a client disconnecting mid-response must not crash the
 handler — it is counted as a typed ``client_abort`` in ``/metrics``.
 
-The failure mode this pins down: ``/v1/score/batch`` responses are
-written into a buffered ``wfile``; when the client is gone the write
-error used to surface at ``handle_one_request``'s implicit flush,
-*outside* the dispatch accounting, so the abort was invisible.  The
-response is now flushed inside ``_respond`` and
-``BrokenPipeError``/``ConnectionResetError`` are caught explicitly.
+The failure mode this pins down: a write error on a dead client must
+surface *inside* the dispatch accounting, or the abort is invisible.
+Each response goes out in one ``sendall`` inside ``_respond``, and a
+reset or broken pipe there is caught explicitly.
 
 The deterministic client death: close the socket with ``SO_LINGER``
 (timeout 0), which sends an immediate RST instead of a graceful FIN —

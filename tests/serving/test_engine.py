@@ -657,6 +657,35 @@ class TestResultCache:
         finally:
             engine.close()
 
+    def test_disabled_cache_counts_every_row_a_miss_without_lookups(
+        self, serving_scorer, segment_rows
+    ):
+        """With ``cache_size=0`` no pass looks a key up (so none takes
+        the cache lock per key), and ``cache_misses`` still equals the
+        rows scored after concurrent requests."""
+        engine = ScoringEngine(
+            serving_scorer, name="cp8", max_batch=8, cache_size=0
+        )
+        lookups: list[tuple] = []
+        get = engine.cache.get
+        engine.cache.get = lambda key: lookups.append(key) or get(key)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                _start(engine.score_many, segment_rows[3 * i : 3 * i + 3])
+                for i in range(16)
+            ]
+            _join(threads)
+            stats = engine.stats()
+            assert stats["rows_scored"] == 48
+            assert stats["cache_misses"] == stats["rows_scored"]
+            assert stats["cache_hits"] == 0
+            assert lookups == []
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+
 
 class TestIntegrity:
     def test_short_scorer_output_is_loud(self, engine, segment_rows):

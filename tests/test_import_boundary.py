@@ -4,7 +4,9 @@
 ``scipy.spatial``) and networkx take about 1.3 s to import, most of a
 server's start-up.  Scoring needs neither; a study needs only
 ``scipy.special`` for its p-values and networkx to generate the road
-network.  Each check runs in a fresh interpreter, because this test
+network.  A server speaks HTTP through its own framing, so it loads
+none of the stdlib's HTTP, mail or TLS modules, nor the load-test
+client.  Each check runs in a fresh interpreter, because this test
 session has imported scipy already.
 """
 
@@ -26,6 +28,11 @@ print(json.dumps({
     "modules": sorted(
         m for m in sys.modules if m.split(".")[0] in ("scipy", "networkx")
     ),
+    "http_stack": sorted(
+        m for m in sys.modules
+        if m.split(".")[0] in ("email", "ssl") or m.startswith("http.")
+        or m == "repro.loadtest.runner"
+    ),
 }))
 """
 
@@ -38,6 +45,26 @@ registry.refresh()
 entry = registry.get("cp8")
 with ScoringEngine(entry.scorer, name=entry.name) as engine:
     result = engine.score_one(json.loads(sys.argv[2]))
+"""
+
+_SERVE_HTTP = """
+import socket
+
+import repro.cli
+from repro.serving import ScoringService
+
+body = json.dumps({"row": json.loads(sys.argv[2])}).encode()
+with ScoringService(sys.argv[1], port=0).start() as service:
+    with socket.create_connection(("127.0.0.1", service.port)) as sock:
+        sock.sendall(
+            b"POST /v1/score HTTP/1.1\\r\\nHost: test\\r\\nConnection: close\\r\\n"
+            + b"Content-Length: %d\\r\\n\\r\\n" % len(body)
+            + body
+        )
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+result = json.loads(reply.partition(b"\\r\\n\\r\\n")[2])["probability"]
 """
 
 _STUDY = """
@@ -77,6 +104,23 @@ def test_serving_loads_no_scipy_or_networkx(small_dataset, tmp_path):
     out = _run(_SERVE, str(tmp_path), json.dumps(row))
     assert 0.0 <= out["result"] <= 1.0
     assert out["modules"] == []
+
+
+def test_serving_over_http_loads_no_stdlib_http_or_loadtest_client(
+    small_dataset, tmp_path
+):
+    """``import repro.cli``, a started service and one row scored over a
+    raw socket load no ``http.server``/``http.client``, ``email`` or
+    ``ssl`` module, and not ``repro.loadtest.runner``."""
+    scorer = CrashPronenessScorer.train(
+        small_dataset.crash_instances, threshold=8, seed=11
+    )
+    scorer.save(tmp_path / "cp8.json")
+    names = list(scorer.input_schema())
+    row = {name: small_dataset.segment_table.row(0)[name] for name in names}
+    out = _run(_SERVE_HTTP, str(tmp_path), json.dumps(row))
+    assert 0.0 <= out["result"] <= 1.0
+    assert out["http_stack"] == []
 
 
 def test_study_loads_neither_scipy_stats_nor_optimize():
